@@ -172,7 +172,8 @@ class Apt:
         return n
 
 
-def _span(base: int, size: int) -> range:
+def ipa_span(base: int, size: int) -> range:
+    """The granule-aligned IPAs of a region of ``size`` granules at ``base``."""
     return range(base, base + size * GRANULE_SIZE, GRANULE_SIZE)
 
 
@@ -293,7 +294,7 @@ def rsi_csm_attach(world, caller: int, sharing_id: tuple) -> None:
     # Validate the whole mapping before touching anything: the command is an
     # atomic transaction and must not leave a half-attached window.
     mappings = []
-    for k, p_ipa in enumerate(_span(p_entry.base, c_entry.size)):
+    for k, p_ipa in enumerate(ipa_span(p_entry.base, c_entry.size)):
         src = p_realm.rtt.entries.get(p_ipa)
         if src is None:
             raise Unpopulated(f"provider ipa {p_ipa:#x} unassigned")
@@ -310,7 +311,7 @@ def rsi_csm_attach(world, caller: int, sharing_id: tuple) -> None:
 def _tear_down_window(world, c_realm, c_entry) -> None:
     """Unmap a consumer window (flushing) and drop its policy entry."""
     if c_entry.state is WindowState.ATTACHED:
-        for ipa in _span(c_entry.base, c_entry.size):
+        for ipa in ipa_span(c_entry.base, c_entry.size):
             if ipa in c_realm.rtt.entries:
                 world.rtt_remove(c_realm, ipa)
     c_realm.apt.entries.remove(c_entry)

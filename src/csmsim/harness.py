@@ -143,45 +143,45 @@ def _op_compose_sid(world, host, actor, caller, args):
     return csm.compose_sharing_id(args["p"], args["c"], args["counter"])
 
 
-# Operation table: name -> (allowed actor kinds, handler).
-# Handlers take (world, host, actor, caller_realm_id, resolved_args).
+# Operation table: name -> (allowed actor kinds, required argument names,
+# handler). Handlers take (world, host, actor, caller_realm_id, resolved_args).
 OPS = {
     # Host-issued granule and realm management commands.
-    "granule_delegate": ({"host"}, lambda w, h, a, c, g: w.granule_delegate(g["granule"])),
-    "granule_undelegate": ({"host"}, lambda w, h, a, c, g: w.granule_undelegate(g["granule"])),
-    "rmi_realm_create": ({"host"}, lambda w, h, a, c, g: w.rmi_realm_create(g["rd"], g.get("ipa_width", 20))),
-    "rmi_rec_create": ({"host"}, lambda w, h, a, c, g: w.rmi_rec_create(g["rd"], g["granule"])),
-    "rmi_apt_create": ({"host"}, lambda w, h, a, c, g: w.rmi_apt_create(g["rd"], g["granule"])),
-    "rmi_apt_destroy": ({"host"}, lambda w, h, a, c, g: w.rmi_apt_destroy(g["rd"], g["granule"])),
-    "rmi_rtt_create": ({"host"}, lambda w, h, a, c, g: w.rmi_rtt_create(g["rd"], g["granule"], g["ipa"])),
-    "rmi_rtt_read_entry": ({"host"}, lambda w, h, a, c, g: w.rmi_rtt_read_entry(g["rd"], g["ipa"])),
-    "rmi_data_create": ({"host"}, _op_data_create),
-    "rmi_data_create_unknown": ({"host"}, lambda w, h, a, c, g: w.rmi_data_create_unknown(g["rd"], g["granule"], g["ipa"])),
-    "rmi_data_destroy": ({"host"}, lambda w, h, a, c, g: w.rmi_data_destroy(g["rd"], g["ipa"])),
-    "rmi_unprotected_map": ({"host"}, lambda w, h, a, c, g: w.rmi_unprotected_map(g["rd"], g["ipa"], g["granule"])),
-    "rmi_realm_activate": ({"host"}, lambda w, h, a, c, g: w.rmi_realm_activate(g["rd"])),
-    "rmi_realm_destroy": ({"host"}, lambda w, h, a, c, g: w.rmi_realm_destroy(g["rd"])),
-    "rec_enter": ({"host"}, lambda w, h, a, c, g: w.rec_enter(g["rd"])),
-    "registry_lookup": ({"host"}, lambda w, h, a, c, g: w.registry_lookup(g["id"]).realm_id),
-    "adversarial_step": ({"host"}, _op_adversarial),
-    "world_stats": ({"host"}, lambda w, h, a, c, g: w.stats()),
+    "granule_delegate": ({"host"}, {"granule"}, lambda w, h, a, c, g: w.granule_delegate(g["granule"])),
+    "granule_undelegate": ({"host"}, {"granule"}, lambda w, h, a, c, g: w.granule_undelegate(g["granule"])),
+    "rmi_realm_create": ({"host"}, {"rd"}, lambda w, h, a, c, g: w.rmi_realm_create(g["rd"], g.get("ipa_width", 20))),
+    "rmi_rec_create": ({"host"}, {"rd", "granule"}, lambda w, h, a, c, g: w.rmi_rec_create(g["rd"], g["granule"])),
+    "rmi_apt_create": ({"host"}, {"rd", "granule"}, lambda w, h, a, c, g: w.rmi_apt_create(g["rd"], g["granule"])),
+    "rmi_apt_destroy": ({"host"}, {"rd", "granule"}, lambda w, h, a, c, g: w.rmi_apt_destroy(g["rd"], g["granule"])),
+    "rmi_rtt_create": ({"host"}, {"rd", "granule", "ipa"}, lambda w, h, a, c, g: w.rmi_rtt_create(g["rd"], g["granule"], g["ipa"])),
+    "rmi_rtt_read_entry": ({"host"}, {"rd", "ipa"}, lambda w, h, a, c, g: w.rmi_rtt_read_entry(g["rd"], g["ipa"])),
+    "rmi_data_create": ({"host"}, {"rd", "granule", "ipa"}, _op_data_create),
+    "rmi_data_create_unknown": ({"host"}, {"rd", "granule", "ipa"}, lambda w, h, a, c, g: w.rmi_data_create_unknown(g["rd"], g["granule"], g["ipa"])),
+    "rmi_data_destroy": ({"host"}, {"rd", "ipa"}, lambda w, h, a, c, g: w.rmi_data_destroy(g["rd"], g["ipa"])),
+    "rmi_unprotected_map": ({"host"}, {"rd", "ipa", "granule"}, lambda w, h, a, c, g: w.rmi_unprotected_map(g["rd"], g["ipa"], g["granule"])),
+    "rmi_realm_activate": ({"host"}, {"rd"}, lambda w, h, a, c, g: w.rmi_realm_activate(g["rd"])),
+    "rmi_realm_destroy": ({"host"}, {"rd"}, lambda w, h, a, c, g: w.rmi_realm_destroy(g["rd"])),
+    "rec_enter": ({"host"}, {"rd"}, lambda w, h, a, c, g: w.rec_enter(g["rd"])),
+    "registry_lookup": ({"host"}, {"id"}, lambda w, h, a, c, g: w.registry_lookup(g["id"]).realm_id),
+    "adversarial_step": ({"host"}, set(), _op_adversarial),
+    "world_stats": ({"host"}, set(), lambda w, h, a, c, g: w.stats()),
     # Raw physical probes from any world.
-    "physical_access": ({"host", "root", "secure"}, _op_physical_access),
+    "physical_access": ({"host", "root", "secure"}, {"granule", "kind"}, _op_physical_access),
     # Realm-issued service commands.
-    "rsi_csm_create": ({"realm"}, lambda w, h, a, c, g: csm.rsi_csm_create(w, c, g["base"], g["size"])),
-    "rsi_csm_share": ({"realm"}, lambda w, h, a, c, g: csm.rsi_csm_share(w, c, g["csm"], g["c_id"], g["perm"])),
-    "rsi_csm_reserve": ({"realm"}, lambda w, h, a, c, g: csm.rsi_csm_reserve(w, c, g["sharing"], g["base"], g["size"])),
-    "rsi_csm_attach": ({"realm"}, lambda w, h, a, c, g: csm.rsi_csm_attach(w, c, g["sharing"])),
-    "rsi_csm_revoke": ({"realm"}, lambda w, h, a, c, g: csm.rsi_csm_revoke(w, c, g["sharing"])),
-    "rsi_csm_destroy": ({"realm"}, lambda w, h, a, c, g: csm.rsi_csm_destroy(w, c, g["csm"])),
-    "rsi_csm_detach_and_free": ({"realm"}, lambda w, h, a, c, g: csm.rsi_csm_detach_and_free(w, c, g["sharing"])),
-    "rsi_attestation_token": ({"realm"}, lambda w, h, a, c, g: attestation.rsi_attestation_token(w, c)),
-    "realm_access": ({"realm"}, _op_realm_access),
-    "compose_sharing_id": ({"realm", "owner"}, _op_compose_sid),
+    "rsi_csm_create": ({"realm"}, {"base", "size"}, lambda w, h, a, c, g: csm.rsi_csm_create(w, c, g["base"], g["size"])),
+    "rsi_csm_share": ({"realm"}, {"csm", "c_id", "perm"}, lambda w, h, a, c, g: csm.rsi_csm_share(w, c, g["csm"], g["c_id"], g["perm"])),
+    "rsi_csm_reserve": ({"realm"}, {"sharing", "base", "size"}, lambda w, h, a, c, g: csm.rsi_csm_reserve(w, c, g["sharing"], g["base"], g["size"])),
+    "rsi_csm_attach": ({"realm"}, {"sharing"}, lambda w, h, a, c, g: csm.rsi_csm_attach(w, c, g["sharing"])),
+    "rsi_csm_revoke": ({"realm"}, {"sharing"}, lambda w, h, a, c, g: csm.rsi_csm_revoke(w, c, g["sharing"])),
+    "rsi_csm_destroy": ({"realm"}, {"csm"}, lambda w, h, a, c, g: csm.rsi_csm_destroy(w, c, g["csm"])),
+    "rsi_csm_detach_and_free": ({"realm"}, {"sharing"}, lambda w, h, a, c, g: csm.rsi_csm_detach_and_free(w, c, g["sharing"])),
+    "rsi_attestation_token": ({"realm"}, set(), lambda w, h, a, c, g: attestation.rsi_attestation_token(w, c)),
+    "realm_access": ({"realm"}, {"ipa", "kind"}, _op_realm_access),
+    "compose_sharing_id": ({"realm", "owner"}, {"p", "c", "counter"}, _op_compose_sid),
     # Owner-side verification workflow.
-    "owner_compute_expectation": ({"owner"}, _op_expectation),
-    "verify_token": ({"owner"}, lambda w, h, a, c, g: attestation.verify_token(g["token"], g["expectation"])),
-    "owner_release_peer_id": ({"owner"}, lambda w, h, a, c, g: attestation.owner_release_peer_id(w, c, g["token"], g["expectation"])),
+    "owner_compute_expectation": ({"owner"}, {"ipa_width"}, _op_expectation),
+    "verify_token": ({"owner"}, {"token", "expectation"}, lambda w, h, a, c, g: attestation.verify_token(g["token"], g["expectation"])),
+    "owner_release_peer_id": ({"owner"}, {"token", "expectation"}, lambda w, h, a, c, g: attestation.owner_release_peer_id(w, c, g["token"], g["expectation"])),
 }
 
 
@@ -218,11 +218,16 @@ def parse_scenario(obj: dict, name: str = "<inline>") -> Scenario:
         op = raw.get("op")
         if op not in OPS:
             raise ParseError(f"{where}: unknown op {op!r}")
-        if kind not in OPS[op][0]:
+        actors, required, _ = OPS[op]
+        if kind not in actors:
             raise ParseError(f"{where}: op {op!r} not callable by {kind!r}")
         args = raw.get("args", {})
         if not isinstance(args, dict):
             raise ParseError(f"{where}: args must be an object")
+        missing = sorted(required - args.keys())
+        if missing:
+            raise ParseError(f"{where}: op {op!r} missing argument(s) "
+                             f"{', '.join(missing)}")
         for ref in _collect_refs(args):
             if ref not in bound:
                 raise ParseError(f"{where}: dangling reference @{ref}")
@@ -318,7 +323,7 @@ def execute_step(world: World, host: Host, actor: str, op: str, args: dict,
         caller = env[alias] if alias in env else int(alias)
     resolved = _resolve(args, env)
     try:
-        value = OPS[op][1](world, host, actor, caller, resolved)
+        value = OPS[op][2](world, host, actor, caller, resolved)
     except SimError as err:
         events = world.take_events()
         return None, {"error": err.code, "detail": err.detail}, events

@@ -17,7 +17,7 @@ deny service, which the threat model accepts.
 from dataclasses import dataclass, field
 from enum import Enum
 
-from .csm import EXIT_C_REALM_CSM, EXIT_P_REALM_CSM, EXIT_REMOVE_CSM
+from .csm import EXIT_C_REALM_CSM, EXIT_P_REALM_CSM, EXIT_REMOVE_CSM, ipa_span
 from .errors import BadState, Fault, OutOfGranules, SimError
 from .granules import GRANULE_SIZE, GranuleState, PasTag, SecurityState
 
@@ -29,10 +29,6 @@ class HostPolicy(Enum):
     PROBER = "prober"
     TOCTOU_SWAPPER = "toctou_swapper"
     DOUBLE_MAPPER = "double_mapper"
-
-
-def _span(base: int, size: int) -> range:
-    return range(base, base + size * GRANULE_SIZE, GRANULE_SIZE)
 
 
 @dataclass
@@ -80,10 +76,10 @@ class Host:
         """Populate every unassigned granule of a new provider region."""
         self.csm_ranges.setdefault(realm_id, set()).add((base, size))
         rd = world.registry.live[realm_id]
-        span = _span(base, size)
+        span = ipa_span(base, size)
         if self.policy is HostPolicy.WRONG_GRANULE:
             # Deliberately populate the range after the requested one.
-            span = _span(base + size * GRANULE_SIZE, size)
+            span = ipa_span(base + size * GRANULE_SIZE, size)
         for ipa in span:
             if self._rmi(world, "rmi_rtt_read_entry", rd, ipa)["state"] == "assigned":
                 continue
@@ -101,7 +97,7 @@ class Host:
         """Reclaim every resident granule of a reserved consumer window."""
         self.csm_ranges.setdefault(realm_id, set()).add((base, size))
         rd = world.registry.live[realm_id]
-        for ipa in _span(base, size):
+        for ipa in ipa_span(base, size):
             entry = self._rmi(world, "rmi_rtt_read_entry", rd, ipa)
             if entry["state"] != "assigned":
                 continue
@@ -114,7 +110,7 @@ class Host:
                 return
         # The consumer window needs table backing before attach can map it.
         try:
-            for ipa in _span(base, size):
+            for ipa in ipa_span(base, size):
                 self._ensure_backing(world, rd, ipa)
         except SimError as err:
             world.record({"event": "host_failure", "op": "backing",

@@ -37,6 +37,16 @@ def test_run_parse_error_exit_code(tmp_path, capsys):
     assert main(["run", str(path)]) == 2
 
 
+def test_run_missing_argument_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "missing.json"
+    path.write_text(json.dumps({"schema": 1, "steps": [
+        {"op": "granule_delegate", "args": {}}]}))
+    assert main(["run", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.splitlines() == [
+        "ParseError: step 0: op 'granule_delegate' missing argument(s) granule"]
+
+
 def test_run_failed_expectation_exit_code(tmp_path, capsys):
     path = tmp_path / "fail.json"
     path.write_text(json.dumps({

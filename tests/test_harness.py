@@ -4,6 +4,7 @@ import pytest
 
 from csmsim.errors import ParseError
 from csmsim.harness import (
+    OPS,
     RunConfig,
     builtin_scenarios,
     load_scenario,
@@ -11,6 +12,8 @@ from csmsim.harness import (
     run_scenario,
     trace_to_bytes,
 )
+from csmsim.host import Host
+from csmsim.rmm import World
 
 MINIMAL = {
     "schema": 1,
@@ -61,6 +64,19 @@ def test_parse_rejects_actor_op_mismatch():
         {"actor": "host", "op": "rsi_csm_create", "args": {"base": 0, "size": 1}}]}
     with pytest.raises(ParseError, match="not callable"):
         parse_scenario(bad)
+
+
+def test_required_arguments_cover_every_handler():
+    """Given only its required arguments, a handler may fail, but never for
+    want of an argument, so the parser's missing-argument check is complete."""
+    for op, (_, required, handler) in OPS.items():
+        try:
+            handler(World(granule_count=4), Host(), "host", None,
+                    dict.fromkeys(required, 0))
+        except KeyError as err:
+            pytest.fail(f"{op} reads argument {err} outside its required set")
+        except Exception:  # any other failure is fine here
+            pass
 
 
 def test_parse_rejects_malformed_expect():
