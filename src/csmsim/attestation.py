@@ -23,6 +23,7 @@ from cryptography.hazmat.primitives.asymmetric.ed25519 import (
 
 from .digests import DIGEST_SIZE, canonical_encode, measure_image
 from .errors import ParseError, VerificationFailed
+from .rmm import check_content_size, check_ipa_width
 
 _CLAIMS_VERSION = b"\x01"
 
@@ -104,8 +105,12 @@ def expected_for_image(world, image: list, ipa_width: int) -> OwnerExpectation:
     """Expectation an owner derives from a known initial image.
 
     The measurement is recomputed from the image alone; nothing is read from
-    the realm being judged.
+    the realm being judged. Widths and contents the monitor would refuse
+    are refused here too.
     """
+    check_ipa_width(ipa_width)
+    for _, content in image:
+        check_content_size(content)
     rim = measure_image(ipa_width, image)
     return OwnerExpectation(expected_rim=rim,
                             platform_pubkey=platform_public_key(world.platform_key_seed),

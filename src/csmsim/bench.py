@@ -149,14 +149,6 @@ class Channel:
         return self.consume()
 
 
-def msg_send(channel: Channel, payload: bytes) -> None:
-    channel.msg_send(payload)
-
-
-def msg_recv(channel: Channel) -> bytes:
-    return channel.msg_recv()
-
-
 # ------------------------------------------------------------------ running
 
 @dataclass

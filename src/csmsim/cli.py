@@ -1,9 +1,12 @@
 """Command-line front end.
 
-    csmsim run <file.json> [--trace out.jsonl] [--seed N]
-    csmsim builtin <name> [--trace out.jsonl] [--seed N] [--list]
-    csmsim explore --realms R --granules G --depth D [--mutant CHECK ...]
-    csmsim bench --mode plaintext|aead|csm --size BYTES --iters N [--csv out.csv]
+    csmsim run <file.json> [--trace out.jsonl] [--seed N] [--policy P]
+    csmsim builtin <name> [--trace out.jsonl] [--seed N] [--policy P]
+    csmsim builtin --list
+    csmsim explore [--realms R] [--granules G] [--depth D] [--csm-max-size N]
+                   [--state-cap N] [--seed N] [--mutant CHECK ...]
+    csmsim bench --mode plaintext|aead|csm --size BYTES [--iters N]
+                 [--csv out.csv] [--seed N]
 
 Exit codes: 0 success, 1 expectation or invariant failure, 2 usage or parse
 errors.
@@ -24,7 +27,9 @@ EXIT_FAILURE = 1
 EXIT_USAGE = 2
 
 
-def _finish_run(trace, code, args) -> int:
+def _run(scenario, args) -> int:
+    trace, code = run_scenario(scenario, RunConfig(
+        trace_path=args.trace, seed=args.seed, policy=args.policy))
     for event in trace:
         if event.get("expectation_failed"):
             exp = event["expectation_failed"]
@@ -40,11 +45,7 @@ def _finish_run(trace, code, args) -> int:
 
 
 def _cmd_run(args) -> int:
-    scenario = load_scenario(args.file)
-    config = RunConfig(trace_path=args.trace, seed=args.seed,
-                       policy=args.policy)
-    trace, code = run_scenario(scenario, config)
-    return _finish_run(trace, code, args)
+    return _run(load_scenario(args.file), args)
 
 
 def _cmd_builtin(args) -> int:
@@ -56,10 +57,7 @@ def _cmd_builtin(args) -> int:
     if args.name not in registry:
         print(f"unknown builtin {args.name!r}; use --list", file=sys.stderr)
         return EXIT_USAGE
-    config = RunConfig(trace_path=args.trace, seed=args.seed,
-                       policy=args.policy)
-    trace, code = run_scenario(registry[args.name], config)
-    return _finish_run(trace, code, args)
+    return _run(registry[args.name], args)
 
 
 def _cmd_explore(args) -> int:
@@ -97,22 +95,21 @@ def build_parser() -> argparse.ArgumentParser:
                     "and the inter-realm channel benchmark")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_run = sub.add_parser("run", help="run a scenario file")
+    run_opts = argparse.ArgumentParser(add_help=False)
+    run_opts.add_argument("--trace", help="write a JSONL trace here")
+    run_opts.add_argument("--seed", type=int, default=None)
+    run_opts.add_argument("--policy",
+                          choices=sorted(p.value for p in HostPolicy),
+                          help="override the scenario's host policy")
+
+    p_run = sub.add_parser("run", parents=[run_opts], help="run a scenario file")
     p_run.add_argument("file")
-    p_run.add_argument("--trace", help="write a JSONL trace here")
-    p_run.add_argument("--seed", type=int, default=None)
-    p_run.add_argument("--policy", choices=sorted(p.value for p in HostPolicy),
-                       help="override the scenario's host policy")
     p_run.set_defaults(fn=_cmd_run)
 
-    p_builtin = sub.add_parser("builtin", help="run a builtin scenario")
+    p_builtin = sub.add_parser("builtin", parents=[run_opts],
+                               help="run a builtin scenario")
     p_builtin.add_argument("name", nargs="?")
     p_builtin.add_argument("--list", action="store_true")
-    p_builtin.add_argument("--trace")
-    p_builtin.add_argument("--seed", type=int, default=None)
-    p_builtin.add_argument("--policy",
-                           choices=sorted(p.value for p in HostPolicy),
-                           help="override the scenario's host policy")
     p_builtin.set_defaults(fn=_cmd_builtin)
 
     p_explore = sub.add_parser("explore", help="bounded exhaustive exploration")

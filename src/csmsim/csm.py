@@ -123,9 +123,6 @@ class ConsumerEntry:
         return False
 
 
-AptEntry = ProviderEntry | ConsumerEntry
-
-
 @dataclass
 class Apt:
     """One realm's access policy table: its shared-region records."""
@@ -232,8 +229,7 @@ def rsi_csm_create(world, caller: int, base: int, size: int) -> str:
     csm_id = world.next_csm_id
     world.next_csm_id += 1
     apt.entries.append(ProviderEntry(csm_id=csm_id, base=base, size=size))
-    return world.suspend(realm, PendingRsi("csm_create", base, size, csm_id=csm_id),
-                         EXIT_P_REALM_CSM)
+    return world.suspend(realm, PendingRsi("csm_create", base, size, csm_id=csm_id))
 
 
 def rsi_csm_share(world, caller: int, csm_id: int, c_id: int, perm) -> tuple:
@@ -242,7 +238,7 @@ def rsi_csm_share(world, caller: int, csm_id: int, c_id: int, perm) -> tuple:
     _, entry = _find_owned_csm(world, caller, csm_id)
     if c_id == caller:
         raise SelfShare(f"realm {caller}")
-    world.registry_lookup(c_id)  # NoSuchRealm for unknown or destroyed peers
+    world.realm_by_id(c_id)  # NoSuchRealm for unknown or destroyed peers
     for record in entry.shares:
         if record.c_id == c_id:
             raise AlreadyShared(f"region {csm_id} already shared to realm {c_id}")
@@ -269,10 +265,8 @@ def rsi_csm_reserve(world, caller: int, sharing_id: tuple, base: int,
         raise BadState(f"[{base:#x}, +{size}) outside protected half")
     apt.check_can_add(base, size)
     apt.entries.append(ConsumerEntry(sharing_id=sharing_id, base=base, size=size))
-    return world.suspend(realm,
-                         PendingRsi("csm_reserve", base, size,
-                                    sharing_id=sharing_id),
-                         EXIT_C_REALM_CSM)
+    return world.suspend(realm, PendingRsi("csm_reserve", base, size,
+                                           sharing_id=sharing_id))
 
 
 def rsi_csm_attach(world, caller: int, sharing_id: tuple) -> None:

@@ -143,7 +143,3 @@ class SeqMismatch(SimError):
 
 class ParseError(SimError):
     code = "ParseError"
-
-
-class ExpectationMismatch(SimError):
-    code = "ExpectationMismatch"

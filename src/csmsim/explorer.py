@@ -334,7 +334,7 @@ def explore(cfg: ExplorationConfig) -> ExplorationReport:
     t0 = time.perf_counter()
     report = ExplorationReport()
     init = build_initial_world(cfg)
-    report.violations += _check_state(init, [], report)
+    _check_state(init, [], report)
     visited = {canonical_state(init)}
     frontier = [(init, [])]
     for depth in range(1, cfg.depth + 1):
@@ -367,7 +367,7 @@ def explore(cfg: ExplorationConfig) -> ExplorationReport:
     return report
 
 
-def _check_state(world: World, seq: list, report: ExplorationReport) -> list:
+def _check_state(world: World, seq: list, report: ExplorationReport) -> None:
     violations = check_invariants(world)
     if violations:
         report.violations.append({"sequence": seq, "violations": violations})
@@ -375,4 +375,3 @@ def _check_state(world: World, seq: list, report: ExplorationReport) -> list:
     if mismatches:
         report.oracle_mismatches.append({"sequence": seq,
                                          "mismatches": mismatches})
-    return violations

@@ -24,13 +24,13 @@ event. Same scenario plus same seed yields a byte-identical trace.
 """
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import attestation, csm
 from .csm import PENDING
 from .errors import ParseError, SimError
 from .granules import SecurityState
-from .host import Host, HostPolicy
+from .host import PROBES, Host, HostPolicy
 from .invariants import check_invariants
 from .rmm import World
 
@@ -55,34 +55,11 @@ class Scenario:
     granules: int = 64
 
 
-@dataclass
-class TraceEvent:
-    """One executed step: inputs, outcome, emitted events, invariant verdicts."""
-    step: int
-    actor: str
-    op: str
-    args: dict
-    result: object
-    events: list = field(default_factory=list)
-    invariants: list = field(default_factory=list)
-    expectation_failed: object = None
-
-    def to_json(self) -> dict:
-        out = {"step": self.step, "actor": self.actor, "op": self.op,
-               "args": self.args, "result": self.result, "events": self.events,
-               "invariants": self.invariants}
-        if self.expectation_failed is not None:
-            out["expectation_failed"] = self.expectation_failed
-        return out
-
-
 def jsonable(value):
     """Render an operation result or resolved argument for the trace."""
     if isinstance(value, (bytes, bytearray)):
         return bytes(value).hex()
-    if isinstance(value, tuple):
-        return [jsonable(v) for v in value]
-    if isinstance(value, list):
+    if isinstance(value, (tuple, list)):
         return [jsonable(v) for v in value]
     if isinstance(value, dict):
         return {k: jsonable(v) for k, v in value.items()}
@@ -162,7 +139,7 @@ OPS = {
     "rmi_realm_activate": ({"host"}, {"rd"}, lambda w, h, a, c, g: w.rmi_realm_activate(g["rd"])),
     "rmi_realm_destroy": ({"host"}, {"rd"}, lambda w, h, a, c, g: w.rmi_realm_destroy(g["rd"])),
     "rec_enter": ({"host"}, {"rd"}, lambda w, h, a, c, g: w.rec_enter(g["rd"])),
-    "registry_lookup": ({"host"}, {"id"}, lambda w, h, a, c, g: w.registry_lookup(g["id"]).realm_id),
+    "registry_lookup": ({"host"}, {"id"}, lambda w, h, a, c, g: w.realm_by_id(g["id"]).realm_id),
     "adversarial_step": ({"host"}, set(), _op_adversarial),
     "world_stats": ({"host"}, set(), lambda w, h, a, c, g: w.stats()),
     # Raw physical probes from any world.
@@ -328,17 +305,14 @@ def execute_step(world: World, host: Host, actor: str, op: str, args: dict,
         events = world.take_events()
         return None, {"error": err.code, "detail": err.detail}, events
     events = world.take_events()
-    if value == PENDING:
-        exits = [e for e in events if e.get("event") == "exit"]
+    exits = [e for e in events if e.get("event") == "exit"]
+    if exits:
+        # Every exit reaches the host, region-removal notices included; a
+        # suspended call completes when the host re-enters its realm.
         completions = host.service_round(world, exits)
         events += world.take_events()
-        value = completions.get(caller, PENDING)
         if value == PENDING:
-            return PENDING, PENDING, events
-    elif any(e.get("event") == "exit" for e in events):
-        # Notification exits (region removals) still reach the host.
-        host.service_round(world, [e for e in events if e.get("event") == "exit"])
-        events += world.take_events()
+            value = completions.get(caller, PENDING)
     return value, jsonable(value), events
 
 
@@ -355,8 +329,9 @@ def run_scenario(scenario: Scenario, config: RunConfig | None = None):
     config = config or RunConfig()
     seed = config.seed if config.seed is not None else scenario.seed
     policy = config.policy if config.policy is not None else scenario.policy
-    world = World(granule_count=scenario.granules, seed=seed)
     host = Host(HostPolicy(policy))
+    _check_probe_args(scenario, host.policy)
+    world = World(granule_count=scenario.granules, seed=seed)
     env: dict = {}
     trace = [{"schema": SCHEMA_VERSION, "scenario": scenario.name, "seed": seed,
               "policy": policy, "granules": scenario.granules}]
@@ -365,28 +340,41 @@ def run_scenario(scenario: Scenario, config: RunConfig | None = None):
         value, result, events = execute_step(world, host, step.actor, step.op,
                                              step.args, env)
         violations = check_invariants(world)
-        event = TraceEvent(step=i, actor=step.actor, op=step.op,
-                           args=jsonable(_resolve(step.args, env)),
-                           result=result, events=events, invariants=violations)
+        # One trace event per executed step: inputs, outcome, emitted
+        # events, invariant verdicts.
+        trace.append({"step": i, "actor": step.actor, "op": step.op,
+                      "args": jsonable(_resolve(step.args, env)),
+                      "result": result, "events": events,
+                      "invariants": violations})
         if violations:
             ok = False
         if not _expectation_met(step.expect, result):
-            event.expectation_failed = {"expected": step.expect, "got": result}
-            trace.append(event.to_json())
+            trace[-1]["expectation_failed"] = {"expected": step.expect,
+                                               "got": result}
             ok = False
             break
         if step.bind is not None:
             env[step.bind] = value
-        trace.append(event.to_json())
     if config.trace_path:
         write_trace(trace, config.trace_path)
     return trace, 0 if ok else 1
 
 
+def _check_probe_args(scenario: Scenario, policy: HostPolicy) -> None:
+    """Probe arguments depend on the policy, which a run may override after
+    parsing, so they are checked here, before the first step runs."""
+    names = PROBES[policy][1] if policy in PROBES else ()
+    for i, step in enumerate(scenario.steps):
+        missing = [n for n in names if n not in step.args]
+        if missing and step.op == "adversarial_step":
+            raise ParseError(f"step {i}: op 'adversarial_step' under policy "
+                             f"{policy.value!r} missing argument(s) "
+                             f"{', '.join(missing)}")
+
+
 def write_trace(trace: list, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for event in trace:
-            fh.write(json.dumps(event, separators=(",", ":")) + "\n")
+    with open(path, "wb") as fh:
+        fh.write(trace_to_bytes(trace))
 
 
 def trace_to_bytes(trace: list) -> bytes:

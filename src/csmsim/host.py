@@ -14,10 +14,10 @@ address. None of these may ever grant or leak realm memory; at worst they
 deny service, which the threat model accepts.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
-from .csm import EXIT_C_REALM_CSM, EXIT_P_REALM_CSM, EXIT_REMOVE_CSM, ipa_span
+from .csm import EXIT_C_REALM_CSM, EXIT_P_REALM_CSM, ipa_span
 from .errors import BadState, Fault, OutOfGranules, SimError
 from .granules import GRANULE_SIZE, GranuleState, PasTag, SecurityState
 
@@ -31,6 +31,15 @@ class HostPolicy(Enum):
     DOUBLE_MAPPER = "double_mapper"
 
 
+# The probe each adversarial policy runs in ``adversarial_step``: the
+# method and the step arguments it takes, in order. Other policies have none.
+PROBES = {
+    HostPolicy.PROBER: ("_probe_all_granules", ()),
+    HostPolicy.DOUBLE_MAPPER: ("_double_map", ("rd", "ipa")),
+    HostPolicy.TOCTOU_SWAPPER: ("_swap_realm", ("rd",)),
+}
+
+
 @dataclass
 class Host:
     """One hypervisor instance with a fixed behavior policy.
@@ -41,8 +50,6 @@ class Host:
     """
 
     policy: HostPolicy = HostPolicy.COOPERATIVE
-    # Bookkeeping of shared ranges the monitor has announced, per realm id.
-    csm_ranges: dict = field(default_factory=dict)
 
     def alloc_granule(self, world) -> int:
         """Lowest-index free granule; the host pool is exactly the
@@ -74,7 +81,6 @@ class Host:
 
     def handle_exit_p_csm(self, world, realm_id: int, base: int, size: int) -> None:
         """Populate every unassigned granule of a new provider region."""
-        self.csm_ranges.setdefault(realm_id, set()).add((base, size))
         rd = world.registry.live[realm_id]
         span = ipa_span(base, size)
         if self.policy is HostPolicy.WRONG_GRANULE:
@@ -95,7 +101,6 @@ class Host:
 
     def handle_exit_c_csm(self, world, realm_id: int, base: int, size: int) -> None:
         """Reclaim every resident granule of a reserved consumer window."""
-        self.csm_ranges.setdefault(realm_id, set()).add((base, size))
         rd = world.registry.live[realm_id]
         for ipa in ipa_span(base, size):
             entry = self._rmi(world, "rmi_rtt_read_entry", rd, ipa)
@@ -116,20 +121,14 @@ class Host:
             world.record({"event": "host_failure", "op": "backing",
                           "ipa": base, "error": err.code})
 
-    def handle_remove_csm(self, world, realm_id: int, base: int, size: int) -> None:
-        """Bookkeeping only: the range is normally managed again. Idempotent."""
-        self.csm_ranges.setdefault(realm_id, set()).discard((base, size))
-
     def service_round(self, world, exits: list[dict]) -> dict:
         """One exit/re-entry round over a batch of exits.
 
         Returns {realm_id: rec_enter result} for every realm re-entered.
         A starving host neither acts nor reschedules, so pending calls stay
-        pending forever (an accepted denial of service).
+        pending forever (an accepted denial of service). Region-removal
+        exits need no host work.
         """
-        for ex in exits:
-            if ex["kind"] == EXIT_REMOVE_CSM:
-                self.handle_remove_csm(world, ex["realm"], ex["ipa_base"], ex["size"])
         if self.policy is HostPolicy.STARVE:
             return {}
         completions = {}
@@ -149,13 +148,10 @@ class Host:
     # -------------------------------------------------------------- probing
 
     def adversarial_step(self, world, **args) -> dict:
-        if self.policy is HostPolicy.PROBER:
-            return self._probe_all_granules(world)
-        if self.policy is HostPolicy.DOUBLE_MAPPER:
-            return self._double_map(world, args["rd"], args["ipa"])
-        if self.policy is HostPolicy.TOCTOU_SWAPPER:
-            return self._swap_realm(world, args["rd"])
-        raise BadState(f"policy {self.policy.value} has no probe step")
+        if self.policy not in PROBES:
+            raise BadState(f"policy {self.policy.value} has no probe step")
+        method, names = PROBES[self.policy]
+        return getattr(self, method)(world, *(args[n] for n in names))
 
     def _probe_all_granules(self, world) -> dict:
         """Attempt a normal-world read of every granule; realm memory must

@@ -87,32 +87,15 @@ class Rtt:
     entries: dict = field(default_factory=dict)   # ipa -> RttEntry
     backed: dict = field(default_factory=dict)    # block index -> rtt granule
 
-    def table_budget(self) -> int:
-        return len(self.backed)
-
-
-@dataclass
-class RecExit:
-    kind: str
-    realm_id: int
-    ipa_base: int
-    size: int
-
-    def to_json(self) -> dict:
-        return {"kind": self.kind, "realm": self.realm_id,
-                "ipa_base": self.ipa_base, "size": self.size}
-
 
 @dataclass
 class Rec:
-    realm_id: int
     rec_granule: int
     pending: PendingRsi | None = None
 
 
 @dataclass
 class RealmDescriptor:
-    rd_granule: int
     realm_id: int
     ipa_width: int
     lifecycle: Lifecycle = Lifecycle.NEW
@@ -165,7 +148,6 @@ class World:
         self.registry = IdRegistry()
         self.realms: dict[int, RealmDescriptor] = {}   # rd granule -> descriptor
         self.next_csm_id = 1
-        self.seed = seed
         self.platform_digest = digests.platform_digest(seed)
         self.platform_key_seed = digests.digest(b"platform-key", seed.to_bytes(8, "big"))
         self.events: list[dict] = []
@@ -218,9 +200,6 @@ class World:
             raise NoSuchRealm(f"realm id {realm_id}")
         return self.realms[rd]
 
-    def registry_lookup(self, realm_id: int) -> RealmDescriptor:
-        return self.realm_by_id(realm_id)
-
     def require_runnable(self, realm_id: int) -> RealmDescriptor:
         """Gate for realm-issued commands: active, has a vCPU, not suspended."""
         realm = self.realm_by_id(realm_id)
@@ -249,10 +228,23 @@ class World:
         half = 1 << (realm.ipa_width - 1)
         return half <= ipa < (1 << realm.ipa_width)
 
-    def emit_exit(self, kind: str, realm_id: int, ipa_base: int, size: int) -> RecExit:
-        ex = RecExit(kind, realm_id, ipa_base, size)
-        self.record({"event": "exit", **ex.to_json()})
-        return ex
+    def emit_exit(self, kind: str, realm_id: int, ipa_base: int, size: int) -> None:
+        self.record({"event": "exit", "kind": kind, "realm": realm_id,
+                     "ipa_base": ipa_base, "size": size})
+
+    def attached_peers(self, realm: RealmDescriptor, ipa: int):
+        """Yield (peer, peer ipa, perm) for every consumer attached to the
+        provider region covering ``ipa``, in share order; nothing outside
+        a region. Lazy, so a caller can stop at the first peer it rejects."""
+        pentry = realm.apt.find_provider_covering(ipa) if realm.apt else None
+        if pentry is None:
+            return
+        offset = ipa - pentry.base
+        for share in pentry.shares:
+            if share.attached:
+                peer = self.realm_by_id(share.c_id)
+                c_entry = peer.apt.find_by_sharing_id(share.sharing_id)
+                yield peer, c_entry.base + offset, share.perm
 
     # Translation-table edits funnel through these two so that every
     # invalidation is paired with its TLB flush in the history.
@@ -349,15 +341,14 @@ class World:
     # ------------------------------------------------------------ realm RMIs
 
     def rmi_realm_create(self, rd: int, ipa_width: int = 20) -> int:
-        if not 13 <= ipa_width <= 48:
-            raise BadState(f"ipa_width {ipa_width}")
+        check_ipa_width(ipa_width)
         gran = self.granules[rd]
         if gran.state is not GranuleState.DELEGATED:
             raise BadState(f"rd granule {rd} in state {gran.state.value}")
         realm_id = self.registry.allocate(rd)
         self.granules.retag(rd, GranuleState.RD, realm_id)
         self.realms[rd] = RealmDescriptor(
-            rd_granule=rd, realm_id=realm_id, ipa_width=ipa_width,
+            realm_id=realm_id, ipa_width=ipa_width,
             rim=digests.initial_measurement(ipa_width))
         return realm_id
 
@@ -368,7 +359,7 @@ class World:
         if realm.rec is not None:
             raise AlreadyExists("realm already has an execution context")
         self.granules.retag(rec_granule, GranuleState.REC, realm.realm_id)
-        realm.rec = Rec(realm.realm_id, rec_granule)
+        realm.rec = Rec(rec_granule)
 
     def rmi_apt_create(self, rd: int, apt_granule: int) -> None:
         realm = self.realm_at(rd)
@@ -416,8 +407,7 @@ class World:
         self.ipa_check_aligned(ipa)
         if not self.protected(realm, ipa):
             raise BadState(f"ipa {ipa:#x} outside protected half")
-        if len(content) > GRANULE_SIZE:
-            raise BadState("content exceeds granule size")
+        check_content_size(content)
         gran = self.granules[data_granule]
         if gran.state is not GranuleState.DELEGATED:
             raise BadState(f"granule {data_granule} in state {gran.state.value}")
@@ -447,28 +437,18 @@ class World:
             raise AlreadyMapped(f"granule {data_granule} in state {gran.state.value}")
         if ipa in realm.rtt.entries:
             raise AlreadyMapped(f"ipa {ipa:#x}")
-        apt = realm.apt
-        centry = apt.find_consumer_covering(ipa) if apt else None
-        if centry is not None:
+        if realm.apt and realm.apt.find_consumer_covering(ipa) is not None:
             raise BadState(f"ipa {ipa:#x} lies in a consumer window")
         # Inside a provider region, attached peers receive the same mapping
         # at the corresponding offset. Validate all targets first; the
         # command mutates atomically or not at all.
         targets = []
-        pentry = apt.find_provider_covering(ipa) if apt else None
-        if pentry is not None:
-            offset = ipa - pentry.base
-            for share in pentry.shares:
-                if not share.attached:
-                    continue
-                peer = self.realm_by_id(share.c_id)
-                c_entry = peer.apt.find_by_sharing_id(share.sharing_id)
-                c_ipa = c_entry.base + offset
-                if self.block_of(c_ipa) not in peer.rtt.backed:
-                    raise TableMiss(f"peer ipa {c_ipa:#x} unbacked")
-                if c_ipa in peer.rtt.entries:
-                    raise AlreadyMapped(f"peer ipa {c_ipa:#x}")
-                targets.append((peer, c_ipa, share.perm))
+        for peer, c_ipa, perm in self.attached_peers(realm, ipa):
+            if self.block_of(c_ipa) not in peer.rtt.backed:
+                raise TableMiss(f"peer ipa {c_ipa:#x} unbacked")
+            if c_ipa in peer.rtt.entries:
+                raise AlreadyMapped(f"peer ipa {c_ipa:#x}")
+            targets.append((peer, c_ipa, perm))
         self.rtt_install(realm, ipa, data_granule, Permission.READ_WRITE)
         self.granules.retag(data_granule, GranuleState.DATA, realm.realm_id)
         for peer, c_ipa, perm in targets:
@@ -487,18 +467,9 @@ class World:
             # Consumer windows map provider-owned granules; the host cannot
             # reclaim those through the consumer's descriptor.
             raise BadState(f"granule {entry.pa} not owned by realm {realm.realm_id}")
-        apt = realm.apt
-        pentry = apt.find_provider_covering(ipa) if apt else None
-        if pentry is not None:
-            offset = ipa - pentry.base
-            for share in pentry.shares:
-                if not share.attached:
-                    continue
-                peer = self.realm_by_id(share.c_id)
-                c_entry = peer.apt.find_by_sharing_id(share.sharing_id)
-                c_ipa = c_entry.base + offset
-                if c_ipa in peer.rtt.entries:
-                    self.rtt_remove(peer, c_ipa)
+        for peer, c_ipa, _ in self.attached_peers(realm, ipa):
+            if c_ipa in peer.rtt.entries:
+                self.rtt_remove(peer, c_ipa)
         self.rtt_remove(realm, ipa)
         self.granules.release(entry.pa)
         return entry.pa
@@ -556,10 +527,12 @@ class World:
 
     # ------------------------------------------------- pending-call machinery
 
-    def suspend(self, realm: RealmDescriptor, pending: PendingRsi,
-                exit_kind: str) -> str:
+    def suspend(self, realm: RealmDescriptor, pending: PendingRsi) -> str:
+        """Park the vCPU on ``pending`` and ask the host for the granule work:
+        populating a provider region, or clearing a consumer window."""
         realm.rec.pending = pending
-        self.emit_exit(exit_kind, realm.realm_id, pending.base, pending.size)
+        kind = EXIT_P_REALM_CSM if pending.op == "csm_create" else EXIT_C_REALM_CSM
+        self.emit_exit(kind, realm.realm_id, pending.base, pending.size)
         return PENDING
 
     def rec_enter(self, rd: int):
@@ -572,22 +545,14 @@ class World:
         pending = realm.rec.pending
         if pending is None:
             return None
-        span = ipa_span(pending.base, pending.size)
-        if pending.op == "csm_create":
-            if all(ipa in realm.rtt.entries for ipa in span):
-                realm.rec.pending = None
-                return pending.csm_id
-            self.emit_exit(EXIT_P_REALM_CSM, realm.realm_id, pending.base,
-                           pending.size)
-            return PENDING
-        if pending.op == "csm_reserve":
-            if all(ipa not in realm.rtt.entries for ipa in span):
-                realm.rec.pending = None
-                return {"reserved": True}
-            self.emit_exit(EXIT_C_REALM_CSM, realm.realm_id, pending.base,
-                           pending.size)
-            return PENDING
-        raise BadState(f"unknown pending op {pending.op}")
+        # A provider region completes once fully mapped, a consumer window
+        # once fully cleared.
+        create = pending.op == "csm_create"
+        if all((ipa in realm.rtt.entries) is create
+               for ipa in ipa_span(pending.base, pending.size)):
+            realm.rec.pending = None
+            return pending.csm_id if create else {"reserved": True}
+        return self.suspend(realm, pending)
 
     # ---------------------------------------------------------------- queries
 
@@ -599,6 +564,18 @@ class World:
             "next_realm_id": self.registry.next_id,
             "next_csm_id": self.next_csm_id,
         }
+
+
+def check_ipa_width(ipa_width: int) -> None:
+    """The address widths a realm may be created with."""
+    if not 13 <= ipa_width <= 48:
+        raise BadState(f"ipa_width {ipa_width}")
+
+
+def check_content_size(content: bytes) -> None:
+    """Measured image content fills at most one granule."""
+    if len(content) > GRANULE_SIZE:
+        raise BadState("content exceeds granule size")
 
 
 # ------------------------------------------------------------------ cloning

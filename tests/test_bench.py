@@ -9,8 +9,6 @@ from csmsim.bench import (
     Channel,
     append_csv,
     bench_run,
-    msg_recv,
-    msg_send,
 )
 from csmsim.errors import AuthFailure, PayloadTooLarge, SeqMismatch
 
@@ -19,8 +17,8 @@ def pump(channel, payloads):
     """Single-threaded ping-pong: depth-1 channel needs no concurrency."""
     out = []
     for p in payloads:
-        msg_send(channel, p)
-        out.append(msg_recv(channel))
+        channel.msg_send(p)
+        out.append(channel.msg_recv())
     return out
 
 
@@ -43,13 +41,13 @@ def test_all_modes_deliver_the_same_sequence():
 def test_payload_too_large():
     channel = Channel("plaintext", max_payload=64)
     with pytest.raises(PayloadTooLarge):
-        msg_send(channel, bytes(65))
+        channel.msg_send(bytes(65))
 
 
 def test_plaintext_slot_holds_header_then_payload_verbatim():
     channel = Channel("plaintext", max_payload=64, seed=2)
     payload = bytes(range(64))
-    msg_send(channel, payload)
+    channel.msg_send(payload)
     slot = bytes(channel.buf[16:])
     header = slot[:16]
     session, seq = struct.unpack("<QQ", header)
@@ -60,12 +58,12 @@ def test_plaintext_slot_holds_header_then_payload_verbatim():
 
 def test_aead_detects_single_bit_corruption():
     channel = Channel("aead", max_payload=64, seed=1)
-    msg_send(channel, b"protected payload")
+    channel.msg_send(b"protected payload")
     # Flip one ciphertext bit in the slot before the receiver looks.
     channel.buf[16 + 16 + 4 + 3] ^= 0x10
     before = channel.recv_seq
     with pytest.raises(AuthFailure):
-        msg_recv(channel)
+        channel.msg_recv()
     # The corrupted message was never acknowledged.
     assert channel.recv_seq == before
 
@@ -74,39 +72,39 @@ def test_plaintext_does_not_detect_corruption():
     """The property that motivates protected sharing: an unprotected shared
     buffer delivers tampered bytes without complaint."""
     channel = Channel("plaintext", max_payload=64)
-    msg_send(channel, b"unprotected payload")
+    channel.msg_send(b"unprotected payload")
     channel.buf[16 + 16 + 4 + 0] ^= 0xFF
-    got = msg_recv(channel)
+    got = channel.msg_recv()
     assert got != b"unprotected payload"
 
 
 def test_aead_header_is_authenticated():
     channel = Channel("aead", max_payload=64, seed=1)
-    msg_send(channel, b"hello")
+    channel.msg_send(b"hello")
     channel.buf[16] ^= 0x01  # session id byte inside the header
     with pytest.raises(SeqMismatch):
         # Session mismatch is caught before decryption even starts.
-        msg_recv(channel)
+        channel.msg_recv()
 
 
 def test_replayed_sequence_rejected():
     channel = Channel("plaintext", max_payload=64)
-    msg_send(channel, b"first")
-    assert msg_recv(channel) == b"first"
+    channel.msg_send(b"first")
+    assert channel.msg_recv() == b"first"
     # Replay: republish the same slot (stale seq) without a new send.
     channel._store(0, 2)  # pretend a second message arrived
     with pytest.raises(SeqMismatch):
-        msg_recv(channel)
+        channel.msg_recv()
 
 
 def test_out_of_order_sequence_rejected():
     channel = Channel("plaintext", max_payload=64)
-    msg_send(channel, b"first")
-    assert msg_recv(channel) == b"first"
+    channel.msg_send(b"first")
+    assert channel.msg_recv() == b"first"
     channel.send_seq = 5  # skip ahead: receiver expects 2, sees 6
     channel.produce(b"sixth")
     with pytest.raises(SeqMismatch):
-        msg_recv(channel)
+        channel.msg_recv()
 
 
 @pytest.mark.parametrize("mode", ["plaintext", "csm", "aead"])

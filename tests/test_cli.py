@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from csmsim.cli import main
 
 
@@ -110,3 +112,42 @@ def test_policy_override_flag(tmp_path, capsys):
     assert main(["run", str(path)]) == 0
     # Overriding to cooperative completes the call: "pending" no longer met.
     assert main(["run", str(path), "--policy", "cooperative"]) == 1
+
+
+# A probe step without the arguments its policy's probe takes. The policy can
+# be overridden on the command line, so the check runs before step 0.
+@pytest.mark.parametrize("argv", [
+    ["builtin", "attack_host_probe", "--policy", "double_mapper"],
+    ["builtin", "attack_host_probe", "--policy", "toctou_swapper"],
+    ["builtin", "attack_toctou_rd_swap", "--policy", "double_mapper"],
+    ["run", "{file}"],
+], ids=["host_probe-double_mapper", "host_probe-toctou_swapper",
+        "toctou_rd_swap-double_mapper", "run_file"])
+def test_probe_missing_policy_arguments_is_usage_error(argv, tmp_path, capsys):
+    path = tmp_path / "probe.json"
+    path.write_text(json.dumps({"schema": 1, "policy": "double_mapper",
+                                "steps": [{"op": "adversarial_step",
+                                           "args": {}}]}))
+    assert main([a.format(file=path) for a in argv]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert len(err.splitlines()) == 1
+    assert "'adversarial_step'" in err and "missing argument(s)" in err
+
+
+@pytest.mark.parametrize("args", [
+    {"ipa_width": 70000},
+    {"ipa_width": 20, "image": [[0, "00" * 4097]]},
+], ids=["ipa_width", "oversized_content"])
+def test_owner_expectation_rejects_what_the_monitor_refuses(args, tmp_path,
+                                                            capsys):
+    path, trace = tmp_path / "owner.json", tmp_path / "t.jsonl"
+    path.write_text(json.dumps({"schema": 1, "steps": [
+        {"op": "granule_delegate", "args": {"granule": 0}},
+        {"op": "rmi_realm_create", "args": {"rd": 0}, "bind": "R"},
+        {"actor": "owner:R", "op": "owner_compute_expectation", "args": args,
+         "expect": {"error": "BadState"}}]}))
+    assert main(["run", str(path), "--trace", str(trace)]) == 0
+    last = json.loads(trace.read_text().splitlines()[-1])
+    assert last["result"]["error"] == "BadState"
+    assert "Traceback" not in capsys.readouterr().err

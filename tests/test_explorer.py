@@ -122,6 +122,14 @@ def test_suspended_realm_has_empty_oracle_row(world):
     assert oracle_mismatches(world) == []
 
 
+def test_initial_state_violation_is_recorded_once(monkeypatch):
+    flagged = [{"invariant": "I0", "detail": "flagged"}]
+    monkeypatch.setattr("csmsim.explorer.check_invariants",
+                        lambda world: list(flagged))
+    report = explore(ExplorationConfig(depth=0))
+    assert report.violations == [{"sequence": [], "violations": flagged}]
+
+
 def test_state_cap_reports_budget_exceeded():
     report = explore(ExplorationConfig(depth=4, state_cap=50))
     assert report.budget_exceeded

@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -12,7 +13,7 @@ from csmsim.harness import (
     run_scenario,
     trace_to_bytes,
 )
-from csmsim.host import Host
+from csmsim.host import PROBES, Host
 from csmsim.rmm import World
 
 MINIMAL = {
@@ -76,6 +77,15 @@ def test_required_arguments_cover_every_handler():
         except KeyError as err:
             pytest.fail(f"{op} reads argument {err} outside its required set")
         except Exception:  # any other failure is fine here
+            pass
+    for policy, (_, names) in PROBES.items():
+        try:
+            Host(policy).adversarial_step(World(granule_count=4),
+                                          **dict.fromkeys(names, 0))
+        except KeyError as err:
+            pytest.fail(f"{policy.value} probe reads argument {err} outside "
+                        f"its table entry")
+        except Exception:
             pass
 
 
@@ -160,6 +170,31 @@ def test_trace_replay_is_byte_identical():
     first = trace_to_bytes(run_scenario(scenario)[0])
     second = trace_to_bytes(run_scenario(scenario)[0])
     assert first == second
+
+
+# sha256 of each builtin's trace under its own policy and seed. This is a
+# regression pin: a change meant to leave behaviour alone must leave these
+# alone; a change meant to alter a trace updates them and says why.
+BUILTIN_TRACE_SHA256 = {
+    "attack_double_map": "f3e79e1b2b52f0d0f9539b72bafe2ad2fed55b13a904cf4af5504d119839dd46",
+    "attack_fake_csm": "0c98a7ac9d07b66bdf724084ba4893d03b5cf2869a0baf5c01c74dca24c8bf29",
+    "attack_host_probe": "b430fed25ff41c18ad0ee1f4df36c4698cd03a934a868ed941303bb79a203b09",
+    "attack_impersonation": "f3413dca6986f349328abbab00c575cdc85c06a3aa4db3e067797f24d7084ed5",
+    "attack_oob_access": "8e9f9d020ff308f410864bef1379f9f48841902a4ac802ec01328f7a4902c9c6",
+    "attack_overlap_reserve": "8fffa97be39f6b0782c0ceb6f32845a98902ba83a1b2fa4396887e8b875a07a5",
+    "attack_toctou_rd_swap": "a9441497df6962b5dea67d083025dde7d067dc9125e85321f4a0fc35e7544a04",
+    "dedup_accounting": "906efa169914c165874100d7b434871cb5d3915846570b969176f091af60cf7e",
+    "happy_path": "527d6ecf5d8a2bf5153e11c4fae0d640edc58b511296433f2d8c7442f4dd0f42",
+    "starving_host": "0554f8efa0ab56aba822119ac84c81751aa59a3e27e3c4855078f3791322cd96",
+    "two_consumers": "2a0985e1826d193cff46367190ce75acb1fec59eec8971c9643bc52002502f57",
+}
+
+
+@pytest.mark.parametrize("name", sorted(builtin_scenarios()))
+def test_builtin_trace_bytes_are_pinned(name):
+    trace, _ = run_scenario(builtin_scenarios()[name])
+    digest = hashlib.sha256(trace_to_bytes(trace)).hexdigest()
+    assert digest == BUILTIN_TRACE_SHA256.get(name)
 
 
 def test_different_seed_changes_signatures_only():

@@ -137,7 +137,7 @@ def test_toctou_swap_yields_fresh_identifier(world):
     assert outcome == {"old_id": victim, "new_id": victim + 1}
     from csmsim.errors import NoSuchRealm
     with pytest.raises(NoSuchRealm):
-        world.registry_lookup(victim)
+        world.realm_by_id(victim)
     assert check_invariants(world) == []
 
 
@@ -147,15 +147,6 @@ def test_adversarial_step_needs_adversarial_policy(world, coop):
         coop.adversarial_step(world)
     with pytest.raises(BadState):
         Host(HostPolicy.STARVE).adversarial_step(world)
-
-
-def test_remove_bookkeeping_idempotent(world, coop):
-    p = build_realm(world, 0)
-    rsi(world, coop, p, "rsi_csm_create", base=0x2000, size=1)
-    assert (0x2000, 1) in coop.csm_ranges[p]
-    coop.handle_remove_csm(world, p, 0x2000, 1)
-    assert (0x2000, 1) not in coop.csm_ranges[p]
-    coop.handle_remove_csm(world, p, 0x2000, 1)  # second time is a no-op
 
 
 def test_cooperative_round_completes_within_one_exit(world, coop):

@@ -215,12 +215,12 @@ def test_destroy_isolated_realm_releases_everything(world):
 
 def test_registry_lookup_and_tombstones(world):
     rid = build_realm(world, 0)
-    assert world.registry_lookup(rid).realm_id == rid
+    assert world.realm_by_id(rid).realm_id == rid
     with pytest.raises(NoSuchRealm):
-        world.registry_lookup(0)
+        world.realm_by_id(0)
     world.rmi_realm_destroy(0)
     with pytest.raises(NoSuchRealm):
-        world.registry_lookup(rid)
+        world.realm_by_id(rid)
 
 
 def test_realm_access_reads_own_data(world):
