@@ -229,6 +229,7 @@ def rsi_csm_create(world, caller: int, base: int, size: int) -> str:
     csm_id = world.next_csm_id
     world.next_csm_id += 1
     apt.entries.append(ProviderEntry(csm_id=csm_id, base=base, size=size))
+    world.touched_realms.add(caller)
     return world.suspend(realm, PendingRsi("csm_create", base, size, csm_id=csm_id))
 
 
@@ -244,6 +245,7 @@ def rsi_csm_share(world, caller: int, csm_id: int, c_id: int, perm) -> tuple:
             raise AlreadyShared(f"region {csm_id} already shared to realm {c_id}")
     sharing_id = compose_sharing_id(caller, c_id, realm.apt.next_counter(c_id))
     entry.shares.append(ShareRecord(sharing_id=sharing_id, c_id=c_id, perm=perm))
+    world.touched_realms.add(caller)
     return sharing_id
 
 
@@ -265,6 +267,7 @@ def rsi_csm_reserve(world, caller: int, sharing_id: tuple, base: int,
         raise BadState(f"[{base:#x}, +{size}) outside protected half")
     apt.check_can_add(base, size)
     apt.entries.append(ConsumerEntry(sharing_id=sharing_id, base=base, size=size))
+    world.touched_realms.add(caller)
     return world.suspend(realm, PendingRsi("csm_reserve", base, size,
                                            sharing_id=sharing_id))
 
@@ -300,6 +303,7 @@ def rsi_csm_attach(world, caller: int, sharing_id: tuple) -> None:
         world.rtt_install(realm, c_ipa, pa, record.perm)
     c_entry.state = WindowState.ATTACHED
     record.attached = True
+    world.touched_realms.update((caller, p_realm.realm_id))
 
 
 def _tear_down_window(world, c_realm, c_entry) -> None:
@@ -309,6 +313,7 @@ def _tear_down_window(world, c_realm, c_entry) -> None:
             if ipa in c_realm.rtt.entries:
                 world.rtt_remove(c_realm, ipa)
     c_realm.apt.entries.remove(c_entry)
+    world.touched_realms.add(c_realm.realm_id)
     world.emit_exit(EXIT_REMOVE_CSM, c_realm.realm_id, c_entry.base, c_entry.size)
 
 
@@ -321,6 +326,7 @@ def revoke_share(world, p_entry: ProviderEntry, record: ShareRecord) -> None:
             if c_entry is not None:
                 _tear_down_window(world, c_realm, c_entry)
     p_entry.shares.remove(record)
+    world.touched_realms.add(record.sharing_id[0])
 
 
 def rsi_csm_revoke(world, caller: int, sharing_id: tuple) -> None:
@@ -340,6 +346,7 @@ def destroy_region(world, p_realm, p_entry: ProviderEntry) -> None:
     for record in list(p_entry.shares):
         revoke_share(world, p_entry, record)
     p_realm.apt.entries.remove(p_entry)
+    world.touched_realms.add(p_realm.realm_id)
     world.emit_exit(EXIT_REMOVE_CSM, p_realm.realm_id, p_entry.base, p_entry.size)
 
 
@@ -356,6 +363,7 @@ def detach_window(world, c_realm, c_entry: ConsumerEntry) -> None:
     _tear_down_window(world, c_realm, c_entry)
     if record is not None:
         record.attached = False
+        world.touched_realms.add(record.sharing_id[0])
 
 
 def rsi_csm_detach_and_free(world, caller: int, sharing_id: tuple) -> None:

@@ -96,6 +96,9 @@ class GranuleSpace:
 
     count: int
     grans: list = field(default_factory=list)
+    # Indices whose state, tag or owner changed since the invariant checker
+    # last took this set (see :mod:`csmsim.invariants`).
+    touched: set = field(default_factory=set)
 
     def __post_init__(self):
         if not self.grans:
@@ -120,6 +123,7 @@ class GranuleSpace:
         g.state = GranuleState.DELEGATED
         g.pas = PasTag.REALM
         g.content = ZERO_GRANULE
+        self.touched.add(index)
 
     def undelegate(self, index: int) -> None:
         g = self[index]
@@ -128,6 +132,7 @@ class GranuleSpace:
         g.state = GranuleState.UNDELEGATED
         g.pas = PasTag.NORMAL
         g.content = ZERO_GRANULE
+        self.touched.add(index)
 
     def retag(self, index: int, state: GranuleState, owner: int) -> None:
         """Move a DELEGATED granule into a realm-owned state (RD/REC/RTT/DATA/APT)."""
@@ -136,6 +141,7 @@ class GranuleSpace:
             raise BadState(f"granule {index} in state {g.state.value}, want delegated")
         g.state = state
         g.owner = owner
+        self.touched.add(index)
 
     def release(self, index: int) -> None:
         """Return a realm-owned granule to DELEGATED, wiping its contents."""
@@ -145,6 +151,7 @@ class GranuleSpace:
         g.state = GranuleState.DELEGATED
         g.owner = 0
         g.content = ZERO_GRANULE
+        self.touched.add(index)
 
     def check_access(self, state: SecurityState, index: int) -> bool:
         return gpc_check(state, self[index].pas)

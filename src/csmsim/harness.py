@@ -31,7 +31,7 @@ from .csm import PENDING
 from .errors import ParseError, SimError
 from .granules import SecurityState
 from .host import PROBES, Host, HostPolicy
-from .invariants import check_invariants
+from .invariants import check_all, check_invariants
 from .rmm import World
 
 SCHEMA_VERSION = 1
@@ -166,6 +166,64 @@ OPS = {
 
 _POLICIES = {p.value for p in HostPolicy}
 
+# The types of literal argument values, by name, for every op. A "@name"
+# reference may stand for any of them; its value is bound at run time.
+_INT_ARGS = {"granule", "rd", "ipa", "base", "size", "csm", "c_id", "id", "p",
+             "c", "counter", "offset", "length", "ipa_width"}
+_HEX_ARGS = {"data", "content"}
+_REF_ARGS = {"token", "expectation"}   # objects with no literal form
+
+
+def _is_ref(value) -> bool:
+    return isinstance(value, str) and value.startswith("@")
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_hex(value) -> bool:
+    try:
+        bytes.fromhex(value)
+    except (TypeError, ValueError):
+        return False
+    return True
+
+
+def _arg_type_error(name: str, value) -> str | None:
+    """What a literal argument value should have been, or None if it fits."""
+    if _is_ref(value):
+        return None
+    if name in _INT_ARGS and not _is_int(value):
+        return "an integer"
+    if name in _HEX_ARGS and not _is_hex(value):
+        return "a hex string"
+    if name in _REF_ARGS:
+        return "a reference to a bound value"
+    if name == "sharing" and not (
+            isinstance(value, list) and len(value) == 3 and
+            all(_is_ref(v) or _is_int(v) for v in value)):
+        return "a list of 3 integers"
+    if name == "image" and not (isinstance(value, list) and all(
+            isinstance(e, list) and len(e) == 2 and _is_int(e[0]) and
+            _is_hex(e[1]) for e in value)):
+        return "a list of [ipa, hex content] pairs"
+    return None
+
+
+def _check_arg_types(op: str, args: dict, where: str) -> None:
+    for name, value in args.items():
+        want = _arg_type_error(name, value)
+        if want is not None:
+            raise ParseError(f"{where}: op {op!r} argument {name!r} must be "
+                             f"{want}, not {value!r}")
+
+
+def _check_seed(seed) -> None:
+    """A seed is folded into the platform identity as 8 unsigned bytes."""
+    if not _is_int(seed) or not 0 <= seed < 1 << 64:
+        raise ParseError(f"seed must be an integer in [0, 2**64), not {seed!r}")
+
 
 def parse_scenario(obj: dict, name: str = "<inline>") -> Scenario:
     if not isinstance(obj, dict):
@@ -208,6 +266,7 @@ def parse_scenario(obj: dict, name: str = "<inline>") -> Scenario:
         for ref in _collect_refs(args):
             if ref not in bound:
                 raise ParseError(f"{where}: dangling reference @{ref}")
+        _check_arg_types(op, args, where)
         expect = raw.get("expect", "ok")
         _check_expect(expect, where)
         bind = raw.get("bind")
@@ -215,9 +274,12 @@ def parse_scenario(obj: dict, name: str = "<inline>") -> Scenario:
             bound.add(bind)
         steps.append(ScenarioStep(actor=actor, op=op, args=args,
                                   expect=expect, bind=bind))
-    return Scenario(name=obj.get("name", name), steps=steps,
-                    seed=obj.get("seed", 0), policy=policy,
-                    granules=obj.get("granules", 64))
+    seed, granules = obj.get("seed", 0), obj.get("granules", 64)
+    _check_seed(seed)
+    if not _is_int(granules) or granules < 1:
+        raise ParseError(f"granules must be a positive integer, not {granules!r}")
+    return Scenario(name=obj.get("name", name), steps=steps, seed=seed,
+                    policy=policy, granules=granules)
 
 
 def _collect_refs(value) -> list:
@@ -328,6 +390,7 @@ def run_scenario(scenario: Scenario, config: RunConfig | None = None):
     no state ever violated an invariant."""
     config = config or RunConfig()
     seed = config.seed if config.seed is not None else scenario.seed
+    _check_seed(seed)
     policy = config.policy if config.policy is not None else scenario.policy
     host = Host(HostPolicy(policy))
     _check_probe_args(scenario, host.policy)
@@ -355,14 +418,22 @@ def run_scenario(scenario: Scenario, config: RunConfig | None = None):
             break
         if step.bind is not None:
             env[step.bind] = value
+    # The reference checker audits the final state. It agrees with the last
+    # verdict unless the incremental checker missed something; then the
+    # reference's verdict goes in the trace and the run fails.
+    final = check_all(world)
+    if final != trace[-1]["invariants"]:
+        trace[-1]["invariants"] = final
+        ok = False
     if config.trace_path:
         write_trace(trace, config.trace_path)
     return trace, 0 if ok else 1
 
 
 def _check_probe_args(scenario: Scenario, policy: HostPolicy) -> None:
-    """Probe arguments depend on the policy, which a run may override after
-    parsing, so they are checked here, before the first step runs."""
+    """Which probe arguments a step needs depends on the policy, which a run
+    may override after parsing, so they are checked here, before the first
+    step runs. Their types were checked by name at parse time."""
     names = PROBES[policy][1] if policy in PROBES else ()
     for i, step in enumerate(scenario.steps):
         missing = [n for n in names if n not in step.args]

@@ -16,11 +16,28 @@ I6 Backing: protected mappings target realm-world data granules; the
 I7 Identifier freshness: realm and region identifiers are unique, below
    their counters, and never resurrected.
 
-The checker recomputes everything from raw state. In particular it carries
-its own literal copy of the access-control matrix rather than calling
-``gpc_check``, so a corrupted fast path cannot vouch for itself.
+Two checkers give the same verdicts. ``check_all`` is the reference: it
+recomputes everything from raw state. ``check_invariants``, the one callers
+use, re-verifies only what changed since the last clean check of the same
+world. The monitor logs what each command touches: granule indices in
+``GranuleSpace.touched`` and realm ids in ``World.touched_realms``. The
+incremental pass reads the new ``History`` rows and the touched granules and
+realms, plus the mappings and sharings that reach them, through indexes it
+builds from raw state and keeps up to date.
+
+The reference runs instead on the first and second check of a world (the
+second one also builds the indexes), whenever the world has disabled
+checks (a mutant), whenever a ``History`` list got shorter, and whenever
+the incremental pass finds anything: every non-empty verdict is the
+reference's, so traces are the same whichever checker ran. The explorer
+checks each new world once, so it always runs the reference.
+
+Both checkers carry their own literal copy of the access-control matrix
+rather than calling ``gpc_check``, so a corrupted fast path cannot vouch
+for itself.
 """
 
+import weakref
 from collections import Counter
 
 from .csm import WindowState, find_share
@@ -62,7 +79,8 @@ def _consumer_coverage(world, realm, ipa: int, pa: int) -> bool:
     return src is not None and src.pa == pa
 
 
-def check_invariants(world) -> list[dict]:
+def check_all(world) -> list[dict]:
+    """The reference checker: every invariant over the whole world."""
     out = []
     realms = list(world.realms.values())
 
@@ -183,3 +201,231 @@ def check_invariants(world) -> list[dict]:
             out.append(_violation("I7", f"region id {cid} outside counter range"))
 
     return out
+
+
+# ------------------------------------------------------------ incremental
+
+class _Index:
+    """What the incremental pass must know of the last clean state, built
+    from raw state and updated per touched realm after each clean pass."""
+
+    def __init__(self, world):
+        self.maps = {}       # realm id -> {ipa: pa}
+        self.by_pa = {}      # pa -> {(realm id, ipa)} mapping it
+        self.regions = {}    # region id -> provider realm id
+        self.owned = {}      # realm id -> its region ids
+        self.consumers = {}  # provider id -> consumer ids attached to it
+        self.providers = {}  # consumer id -> provider ids attached to it
+        for realm in world.realms.values():
+            self._add(realm)
+
+    def update(self, realms: dict, touched: set) -> None:
+        for rid in touched:
+            self._drop(rid)
+        for rid in touched:
+            if rid in realms:
+                self._add(realms[rid])
+
+    def _drop(self, rid: int) -> None:
+        for ipa, pa in self.maps.pop(rid, {}).items():
+            self.by_pa[pa].discard((rid, ipa))
+        for cid in self.owned.pop(rid, ()):
+            del self.regions[cid]
+        for c_id in self.consumers.pop(rid, ()):
+            self.providers[c_id].discard(rid)
+
+    def _add(self, realm) -> None:
+        rid = realm.realm_id
+        maps = self.maps[rid] = {}
+        for ipa, entry in realm.rtt.entries.items():
+            maps[ipa] = entry.pa
+            self.by_pa.setdefault(entry.pa, set()).add((rid, ipa))
+        p_entries = [e for e in realm.apt.entries if e.is_provider()] \
+            if realm.apt else []
+        self.owned[rid] = [e.csm_id for e in p_entries]
+        self.regions.update(dict.fromkeys(self.owned[rid], rid))
+        consumers = self.consumers[rid] = {
+            s.c_id for e in p_entries for s in e.shares if s.attached}
+        for c_id in consumers:
+            self.providers.setdefault(c_id, set()).add(rid)
+
+
+class _Baseline:
+    """The last world found clean: a weak reference, so a finished world is
+    freed, the lengths of its ``History`` lists, and the indexes, built on
+    that world's second check."""
+
+    __slots__ = ("world", "lengths", "index")
+
+    def __init__(self, world, lengths: tuple, index: _Index | None):
+        self.world = weakref.ref(world)
+        self.lengths = lengths
+        self.index = index
+
+
+# One slot: a scenario run or a benchmark pass checks one world over and
+# over. A check of any other world runs the reference and takes the slot.
+_baseline: _Baseline | None = None
+
+
+def check_invariants(world) -> list[dict]:
+    """The invariant verdict on ``world``, equal to ``check_all(world)``."""
+    global _baseline
+    hist = world.history
+    lengths = (len(hist.accesses), len(hist.invalidations), len(hist.flushes))
+    # The slot stays empty until this check ends clean, so a check that
+    # raises leaves the next one to the reference.
+    base, _baseline = _baseline, None
+    same = base is not None and base.world() is world
+    if same and base.index is not None and not world.disabled_checks and \
+            all(n >= m for n, m in zip(lengths, base.lengths)):
+        grans, world.granules.touched = world.granules.touched, set()
+        rids, world.touched_realms = world.touched_realms, set()
+        realms = {r.realm_id: r for r in world.realms.values()}
+        if _clean_since(world, base, realms, grans, rids):
+            base.lengths = lengths
+            base.index.update(realms, rids)
+            _baseline = base
+            return []
+    # The reference reads everything, so the touch log starts afresh.
+    world.granules.touched.clear()
+    world.touched_realms.clear()
+    out = check_all(world)
+    if not out and not world.disabled_checks:
+        _baseline = _Baseline(world, lengths, _Index(world) if same else None)
+    return out
+
+
+def _clean_since(world, base: _Baseline, realms: dict, grans: set,
+                 rids: set) -> bool:
+    """Whether the items changed since ``base`` still satisfy I1-I7.
+
+    I1 has no pass of its own: a protected mapping that I1 flags maps a
+    granule its realm does not own without covering records, which I5
+    flags too unless I6 already did. So when I5 and I6 find nothing over
+    all protected mappings, I1 finds nothing either.
+    """
+    hist, idx = world.history, base.index
+    n_acc, n_inv, n_flush = base.lengths
+
+    # I3: only the new access rows.
+    for state, pas, _, allowed in hist.accesses[n_acc:]:
+        if allowed and not _ACCESS_RULE[(state, pas)]:
+            return False
+
+    # I4: the baseline was balanced, so the whole is balanced exactly when
+    # the new rows are.
+    if Counter(hist.invalidations[n_inv:]) != Counter(hist.flushes[n_flush:]):
+        return False
+
+    # I6: the tags of touched granules.
+    space = world.granules
+    for index in grans:
+        g = space[index]
+        want = PasTag.NORMAL if g.state is GranuleState.UNDELEGATED \
+            else PasTag.REALM
+        if g.pas is not want:
+            return False
+
+    # I5/I6: every mapping of a touched realm, then every other mapping of
+    # a granule that is touched or that a touched realm maps or mapped.
+    pas = set(grans)
+    for rid in rids:
+        pas.update(idx.maps.get(rid, {}).values())
+        realm = realms.get(rid)
+        if realm is None:
+            continue
+        for ipa, entry in realm.rtt.entries.items():
+            pas.add(entry.pa)
+            if not _mapping_ok(world, realm, ipa, entry):
+                return False
+    for pa in pas:
+        for rid, ipa in idx.by_pa.get(pa, ()):
+            if rid in rids:
+                continue
+            realm = realms.get(rid)
+            entry = realm.rtt.entries.get(ipa) if realm else None
+            # An untouched realm cannot have changed: if it did, a touch
+            # went unlogged, and the reference decides.
+            if entry is None or entry.pa != pa or \
+                    not _mapping_ok(world, realm, ipa, entry):
+                return False
+
+    # I2: attached sharings with a touched realm on either side. A touched
+    # consumer's providers come from its windows and, should it be gone,
+    # from the index.
+    providers = set()
+    for rid in rids:
+        providers.add(rid)
+        providers.update(idx.providers.get(rid, ()))
+        realm = realms.get(rid)
+        if realm is not None and realm.apt is not None:
+            providers.update(e.sharing_id[0] for e in realm.apt.entries
+                             if not e.is_provider())
+    for pid in providers:
+        p_realm = realms.get(pid)
+        if p_realm is None or p_realm.apt is None:
+            continue
+        for p_entry in p_realm.apt.entries:
+            if not p_entry.is_provider():
+                continue
+            for record in p_entry.shares:
+                if record.attached and (pid in rids or record.c_id in rids) \
+                        and not _sharing_ok(world, p_realm, p_entry, record):
+                    return False
+
+    # I7: touched realm ids, and their region ids against the index.
+    reg = world.registry
+    fresh = set()
+    for rid in rids:
+        if rid in reg.live and rid in reg.tombstones:
+            return False
+        if (rid in reg.live or rid in reg.tombstones) and \
+                not 1 <= rid < reg.next_id:
+            return False
+        if rid in reg.live:
+            realm = world.realms.get(reg.live[rid])
+            if realm is None or realm.realm_id != rid:
+                return False
+        realm = realms.get(rid)
+        if realm is None or realm.apt is None:
+            continue
+        for e in realm.apt.entries:
+            if not e.is_provider():
+                continue
+            cid = e.csm_id
+            if cid in fresh or not 1 <= cid < world.next_csm_id or \
+                    idx.regions.get(cid, rid) not in rids:
+                return False
+            fresh.add(cid)
+    return True
+
+
+def _mapping_ok(world, realm, ipa: int, entry) -> bool:
+    """I5 and I6 for one mapping, as ``check_all`` judges it."""
+    gran = world.granules[entry.pa]
+    if world.protected(realm, ipa):
+        if gran.state is not GranuleState.DATA or gran.pas is not PasTag.REALM:
+            return False
+        return gran.owner == realm.realm_id or \
+            _consumer_coverage(world, realm, ipa, entry.pa)
+    return gran.pas is PasTag.NORMAL
+
+
+def _sharing_ok(world, p_realm, p_entry, record) -> bool:
+    """I2 for one attached sharing, as ``check_all`` judges it."""
+    if record.c_id not in world.registry.live:
+        return False
+    c_realm = world.realm_by_id(record.c_id)
+    c_entry = (c_realm.apt.find_by_sharing_id(record.sharing_id)
+               if c_realm.apt else None)
+    if c_entry is None or c_entry.state is not WindowState.ATTACHED:
+        return False
+    for k in range(p_entry.size):
+        src = p_realm.rtt.entries.get(p_entry.base + k * GRANULE_SIZE)
+        dst = c_realm.rtt.entries.get(c_entry.base + k * GRANULE_SIZE)
+        if (src is None) != (dst is None):
+            return False
+        if src is not None and (src.pa != dst.pa or dst.perm is not record.perm):
+            return False
+    return True

@@ -152,6 +152,9 @@ class World:
         self.platform_key_seed = digests.digest(b"platform-key", seed.to_bytes(8, "big"))
         self.events: list[dict] = []
         self.history = History()
+        # Ids of realms whose translation table, policy table or share
+        # records changed since the invariant checker last took this set.
+        self.touched_realms: set = set()
         # Test instrumentation: names of monitor checks to skip, used by the
         # explorer's sensitivity (mutant) runs. Empty in normal operation.
         self.disabled_checks: set = set()
@@ -167,6 +170,7 @@ class World:
         """
         new = _shallow(self)
         new.granules = _shallow(self.granules)
+        new.granules.touched = set(self.granules.touched)
         # Granules are most of a world. Built by the constructor, they keep
         # their fields inline, which takes less memory than a copied __dict__.
         new.granules.grans = [Granule(g.index, g.pas, g.state, g.content, g.owner)
@@ -179,6 +183,7 @@ class World:
         new.history = History(list(hist.accesses), list(hist.invalidations),
                               list(hist.flushes))
         new.disabled_checks = set(self.disabled_checks)
+        new.touched_realms = set(self.touched_realms)
         return new
 
     def record(self, event: dict) -> None:
@@ -256,9 +261,11 @@ class World:
         if ipa in realm.rtt.entries:
             raise AlreadyMapped(f"ipa {ipa:#x} already mapped")
         realm.rtt.entries[ipa] = RttEntry(pa, perm)
+        self.touched_realms.add(realm.realm_id)
 
     def rtt_remove(self, realm: RealmDescriptor, ipa: int) -> RttEntry:
         entry = realm.rtt.entries.pop(ipa)
+        self.touched_realms.add(realm.realm_id)
         self.history.invalidations.append((realm.realm_id, ipa))
         self.history.flushes.append((realm.realm_id, ipa))
         self.record({"event": "tlb_flush", "realm": realm.realm_id, "ipa": ipa})
@@ -346,6 +353,7 @@ class World:
         if gran.state is not GranuleState.DELEGATED:
             raise BadState(f"rd granule {rd} in state {gran.state.value}")
         realm_id = self.registry.allocate(rd)
+        self.touched_realms.add(realm_id)
         self.granules.retag(rd, GranuleState.RD, realm_id)
         self.realms[rd] = RealmDescriptor(
             realm_id=realm_id, ipa_width=ipa_width,
@@ -370,6 +378,7 @@ class World:
         self.granules.retag(apt_granule, GranuleState.APT, realm.realm_id)
         realm.apt_granule = apt_granule
         realm.apt = Apt()
+        self.touched_realms.add(realm.realm_id)
 
     def rmi_apt_destroy(self, rd: int, apt_granule: int) -> None:
         realm = self.realm_at(rd)
@@ -500,6 +509,7 @@ class World:
         if realm.lifecycle is Lifecycle.DESTROYED:
             raise BadState("realm already destroyed")
         realm.tearing_down = True
+        self.touched_realms.add(realm.realm_id)
         if realm.apt is not None:
             for entry in [e for e in realm.apt.entries if e.is_provider()]:
                 destroy_region(self, realm, entry)

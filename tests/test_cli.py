@@ -3,6 +3,7 @@ import json
 import pytest
 
 from csmsim.cli import main
+from csmsim.harness import parse_scenario
 
 
 def test_builtin_list(capsys):
@@ -151,3 +152,52 @@ def test_owner_expectation_rejects_what_the_monitor_refuses(args, tmp_path,
     last = json.loads(trace.read_text().splitlines()[-1])
     assert last["result"]["error"] == "BadState"
     assert "Traceback" not in capsys.readouterr().err
+
+
+# Arguments and fields of the wrong type: one line and exit 2, not a
+# traceback from deep inside the monitor.
+@pytest.mark.parametrize("doc", [
+    {"steps": [{"op": "granule_delegate", "args": {"granule": "x"}}]},
+    {"policy": "double_mapper",
+     "steps": [{"op": "adversarial_step", "args": {"rd": [1], "ipa": 0}}]},
+    {"granules": "many", "steps": [{"op": "world_stats"}]},
+    {"seed": "abc", "steps": [{"op": "world_stats"}]},
+    {"seed": -1, "steps": [{"op": "world_stats"}]},
+    {"steps": [{"actor": "root", "op": "physical_access",
+                "args": {"granule": 0, "kind": "write", "data": "zz"}}]},
+    {"steps": [{"op": "rmi_data_create",
+                "args": {"rd": 0, "granule": 1, "ipa": 0, "content": 7}}]},
+    {"steps": [{"op": "granule_delegate", "args": {"granule": True}}]},
+    {"steps": [{"actor": "owner:R", "op": "owner_compute_expectation",
+                "args": {"ipa_width": 20, "image": "x"}}]},
+    {"steps": [{"actor": "owner:R", "op": "verify_token",
+                "args": {"token": 5, "expectation": "@R"}}]},
+    {"steps": [{"actor": "realm:R", "op": "rsi_csm_attach",
+                "args": {"sharing": [1, 2]}}]},
+], ids=["granule", "probe_rd", "granules", "seed", "negative_seed", "data",
+        "content", "bool", "image", "token", "sharing"])
+def test_run_wrong_argument_type_is_usage_error(doc, tmp_path, capsys):
+    bind = [{"op": "granule_delegate", "args": {"granule": 0}},
+            {"op": "rmi_realm_create", "args": {"rd": 0}, "bind": "R"}]
+    if "R" in json.dumps(doc["steps"]):
+        doc = {**doc, "steps": bind + doc["steps"]}
+    path = tmp_path / "typed.json"
+    path.write_text(json.dumps({"schema": 1, **doc}))
+    assert main(["run", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert len(err.splitlines()) == 1 and err.startswith("ParseError: ")
+
+
+def test_seed_override_out_of_range_is_usage_error(capsys):
+    assert main(["builtin", "happy_path", "--seed", "-1"]) == 2
+    assert capsys.readouterr().err.startswith("ParseError: seed")
+
+
+def test_references_pass_the_type_checks():
+    parse_scenario({"schema": 1, "steps": [
+        {"op": "granule_delegate", "args": {"granule": 0}},
+        {"op": "rmi_realm_create", "args": {"rd": 0}, "bind": "R"},
+        {"actor": "realm:R", "op": "rsi_csm_attach",
+         "args": {"sharing": ["@R", "@R", 0]}},
+        {"op": "granule_delegate", "args": {"granule": "@R"}}]})
