@@ -8,6 +8,16 @@ structural key. Every newly reached state is checked against the global
 invariants and against the brute-force access oracle; a violation is
 reported with the shortest command sequence that produced it.
 
+Only the worlds still to be expanded are kept: a frontier world is dropped
+once its successors are made, and the worlds of the last depth are checked
+and dropped at once. The oracle check of a world whose parent's check found
+no mismatch compares only the normal, secure and root cells of the granules
+the transition touched (those cells depend on the granule's tag alone, and
+only a touched granule changes its tag), plus every realm row. The full
+reference oracle runs on the initial world, on every successor of a world
+with a mismatch, and on any world where the limited check finds one, so
+every recorded mismatch list is the reference's.
+
 Granule-index symmetry is handled by construction: the cooperative host
 always delegates the lowest-index free granule, so interchangeable granules
 never multiply states.
@@ -17,11 +27,12 @@ example, skipping the attach size-equality check) to confirm the explorer
 actually catches the violations those checks exist to prevent.
 """
 
+import functools
 import hashlib
 import time
 from dataclasses import dataclass, field
 
-from .granules import GranuleState, SecurityState
+from .granules import GRANULE_SIZE, GranuleState, SecurityState
 from .harness import execute_step
 from .host import Host, HostPolicy
 from .invariants import _ACCESS_RULE, check_invariants
@@ -219,14 +230,26 @@ def _host_data_commands(world: World, cfg: ExplorationConfig, live: list) -> lis
 
 # -------------------------------------------------------------- state digest
 
+# Clones share their parent's content bytes, so a digest is computed once
+# per content object, not once per state. The cache holds at most 1 MiB of
+# granule contents.
+@functools.lru_cache(maxsize=(1 << 20) // GRANULE_SIZE)
+def _content_digest(content: bytes) -> bytes:
+    return hashlib.sha256(content).digest()[:8]
+
+
 def canonical_state(world: World) -> tuple:
     """Structural key for deduplication; granule contents enter only as a
-    digest per data granule, logs and event buffers are ignored."""
-    grans = []
-    for g in world.granules.grans:
-        digest = hashlib.sha256(g.content).digest()[:8] \
-            if g.state is GranuleState.DATA else None
-        grans.append((g.state.value, g.pas.value, g.owner, digest))
+    digest per data granule, logs and event buffers are ignored.
+
+    Enum values are read as ``_value_``, the attribute behind the slower
+    ``value`` descriptor. The key's repr is pinned by test, and
+    ``perfbench``'s ``monitor-churn`` fingerprint hashes it.
+    """
+    data = GranuleState.DATA
+    grans = tuple([(g.state._value_, g.pas._value_, g.owner,
+                    _content_digest(g.content) if g.state is data else None)
+                   for g in world.granules.grans])
     realms = []
     for rd in sorted(world.realms):
         r = world.realms[rd]
@@ -235,24 +258,24 @@ def canonical_state(world: World) -> tuple:
             entries = []
             for e in r.apt.entries:
                 if e.is_provider():
-                    shares = tuple((s.sharing_id, s.perm.value, s.attached)
+                    shares = tuple((s.sharing_id, s.perm._value_, s.attached)
                                    for s in e.shares)
                     entries.append(("P", e.csm_id, e.base, e.size, shares))
                 else:
                     entries.append(("C", e.sharing_id, e.base, e.size,
-                                    e.state.value))
+                                    e.state._value_))
             apt = (tuple(sorted(entries)),
                    tuple(sorted(r.apt.share_counters.items())))
-        rtt = (tuple(sorted((ipa, e.pa, e.perm.value)
+        rtt = (tuple(sorted((ipa, e.pa, e.perm._value_)
                             for ipa, e in r.rtt.entries.items())),
                tuple(sorted(r.rtt.backed.items())))
         pending = None
         if r.rec is not None and r.rec.pending is not None:
             p = r.rec.pending
             pending = (p.op, p.base, p.size, p.csm_id, p.sharing_id)
-        realms.append((r.realm_id, r.lifecycle.value, r.rim, apt, rtt,
+        realms.append((r.realm_id, r.lifecycle._value_, r.rim, apt, rtt,
                        pending, tuple(r.peer_ids)))
-    return (tuple(grans), tuple(realms),
+    return (grans, tuple(realms),
             world.registry.next_id, tuple(sorted(world.registry.live.items())),
             tuple(sorted(world.registry.tombstones)), world.next_csm_id)
 
@@ -317,7 +340,18 @@ def operational_matrix(world: World) -> dict:
     return matrix
 
 
-def oracle_mismatches(world: World) -> list:
+def oracle_mismatches(world: World, granules=None) -> list:
+    """Cells where the oracle and the operational checks disagree.
+
+    With one argument this is the reference: both full matrices, compared
+    cell by cell. Given ``granules``, the indices a transition touched since
+    its parent was found clean, it compares only those granules' cells of
+    the normal, secure and root rows, which depend on the granule's tag
+    alone, and every realm row in full, and it may return its findings in
+    another order than the reference.
+    """
+    if granules is not None:
+        return _touched_mismatches(world, granules)
     oracle = access_oracle(world)
     actual = operational_matrix(world)
     out = []
@@ -328,18 +362,66 @@ def oracle_mismatches(world: World) -> list:
     return out
 
 
+_LEVELS = {(True, True): "read_write", (True, False): "read",
+           (False, False): "none", (False, True): "write"}
+
+
+def _touched_mismatches(world: World, granules) -> list:
+    out = []
+
+    def compare(actor, index, want, got):
+        if want != got:
+            out.append({"actor": actor, "granule": index,
+                        "oracle": want, "operational": got})
+
+    for label, state in _WORLD_ACTORS.items():
+        for index in granules:
+            allowed = _ACCESS_RULE[(label, world.granules[index].pas._value_)]
+            compare(label, index, "read_write" if allowed else "none",
+                    _LEVELS[(world.physical_access_allowed(state, index, "read"),
+                             world.physical_access_allowed(state, index, "write"))])
+    # A realm row lists the granules the realm reaches; every other cell of
+    # it is "none" on both sides.
+    for rid in sorted(world.registry.live):
+        realm = world.realm_by_id(rid)
+        runnable = realm.rec is not None and realm.rec.pending is None
+        want, got = {}, {}
+        for ipa, entry in realm.rtt.entries.items():
+            pa = entry.pa
+            if runnable and \
+                    _ACCESS_RULE[("realm", world.granules[pa].pas._value_)]:
+                _widen(want, pa, entry.perm._value_ == "rw")
+            if world.realm_access_allowed(rid, ipa, "read"):
+                _widen(got, pa, world.realm_access_allowed(rid, ipa, "write"))
+        for pa in want.keys() | got.keys():
+            compare(f"realm:{rid}", pa, want.get(pa, "none"),
+                    got.get(pa, "none"))
+    return out
+
+
+def _widen(row: dict, pa: int, write: bool) -> None:
+    """Raise a row's level for ``pa`` to what one more mapping grants."""
+    if write:
+        row[pa] = "read_write"
+    else:
+        row.setdefault(pa, "read")
+
+
 # ---------------------------------------------------------------- main loop
 
 def explore(cfg: ExplorationConfig) -> ExplorationReport:
     t0 = time.perf_counter()
     report = ExplorationReport()
     init = build_initial_world(cfg)
-    _check_state(init, [], report)
+    # Entries are (world, path, whether its oracle check found nothing).
+    frontier = [(init, [], _check_state(init, [], report, None))]
     visited = {canonical_state(init)}
-    frontier = [(init, [])]
+    del init
     for depth in range(1, cfg.depth + 1):
-        nxt = []
-        for world, path in frontier:
+        keep = depth < cfg.depth
+        nxt, found = [], False
+        for i, (world, path, clean) in enumerate(frontier):
+            frontier[i] = None  # so the world is freed once expanded
             for label, actor, op, args in enabled_commands(world, cfg):
                 clone = world.clone()
                 execute_step(clone, Host(HostPolicy.COOPERATIVE), actor, op,
@@ -349,16 +431,21 @@ def explore(cfg: ExplorationConfig) -> ExplorationReport:
                 if key in visited:
                     continue
                 visited.add(key)
+                found = True
                 seq = path + [label]
-                _check_state(clone, seq, report)
-                nxt.append((clone, seq))
+                # The parent's check emptied the touch log, so it names what
+                # this command touched (or more, which is safe).
+                touched = sorted(clone.granules.touched) if clean else None
+                child_clean = _check_state(clone, seq, report, touched)
+                if keep:
+                    nxt.append((clone, seq, child_clean))
                 if len(visited) >= cfg.state_cap:
                     report.budget_exceeded = True
                     break
             if report.budget_exceeded:
                 break
         frontier = nxt
-        if frontier:
+        if found:
             report.depth_reached = depth
         if report.budget_exceeded or not frontier:
             break
@@ -367,11 +454,19 @@ def explore(cfg: ExplorationConfig) -> ExplorationReport:
     return report
 
 
-def _check_state(world: World, seq: list, report: ExplorationReport) -> None:
+def _check_state(world: World, seq: list, report: ExplorationReport,
+                 touched) -> bool:
+    """Record the world's violations and oracle mismatches; return whether
+    the oracle found none. ``touched`` names the granules changed since a
+    clean parent, or is None to run the reference oracle, which also words
+    every mismatch the touched-rows pass finds."""
     violations = check_invariants(world)
     if violations:
         report.violations.append({"sequence": seq, "violations": violations})
-    mismatches = oracle_mismatches(world)
+    mismatches = oracle_mismatches(world, touched)
+    if mismatches and touched is not None:
+        mismatches = oracle_mismatches(world)
     if mismatches:
         report.oracle_mismatches.append({"sequence": seq,
                                          "mismatches": mismatches})
+    return not mismatches

@@ -24,6 +24,7 @@ event. Same scenario plus same seed yields a byte-identical trace.
 """
 
 import json
+import reprlib
 from dataclasses import dataclass
 
 from . import attestation, csm
@@ -171,7 +172,10 @@ _POLICIES = {p.value for p in HostPolicy}
 _INT_ARGS = {"granule", "rd", "ipa", "base", "size", "csm", "c_id", "id", "p",
              "c", "counter", "offset", "length", "ipa_width"}
 _HEX_ARGS = {"data", "content"}
-_REF_ARGS = {"token", "expectation"}   # objects with no literal form
+# Objects with no literal form, by the types a bound value may have; a token
+# may also be the bytes of one, as read back from memory.
+_REF_ARGS = {"token": (attestation.AttestationToken, bytes, bytearray),
+             "expectation": (attestation.OwnerExpectation,)}
 
 
 def _is_ref(value) -> bool:
@@ -190,19 +194,21 @@ def _is_hex(value) -> bool:
     return True
 
 
-def _arg_type_error(name: str, value) -> str | None:
-    """What a literal argument value should have been, or None if it fits."""
-    if _is_ref(value):
+def _arg_type_error(name: str, value, bound: bool = False) -> str | None:
+    """What an argument value should have been, or None if it fits. A
+    literal may be a reference; the value it is bound to is checked at run
+    time, with ``bound`` set."""
+    if _is_ref(value) and not bound:
         return None
     if name in _INT_ARGS and not _is_int(value):
         return "an integer"
     if name in _HEX_ARGS and not _is_hex(value):
         return "a hex string"
-    if name in _REF_ARGS:
-        return "a reference to a bound value"
+    if name in _REF_ARGS and not (bound and isinstance(value, _REF_ARGS[name])):
+        return f"a reference to an {_REF_ARGS[name][0].__name__}"
     if name == "sharing" and not (
-            isinstance(value, list) and len(value) == 3 and
-            all(_is_ref(v) or _is_int(v) for v in value)):
+            isinstance(value, (list, tuple)) and len(value) == 3 and
+            all(_is_int(v) or (_is_ref(v) and not bound) for v in value)):
         return "a list of 3 integers"
     if name == "image" and not (isinstance(value, list) and all(
             isinstance(e, list) and len(e) == 2 and _is_int(e[0]) and
@@ -400,6 +406,7 @@ def run_scenario(scenario: Scenario, config: RunConfig | None = None):
               "policy": policy, "granules": scenario.granules}]
     ok = True
     for i, step in enumerate(scenario.steps):
+        _check_bound_types(step, env, f"step {i}")
         value, result, events = execute_step(world, host, step.actor, step.op,
                                              step.args, env)
         violations = check_invariants(world)
@@ -428,6 +435,23 @@ def run_scenario(scenario: Scenario, config: RunConfig | None = None):
     if config.trace_path:
         write_trace(trace, config.trace_path)
     return trace, 0 if ok else 1
+
+
+def _check_bound_types(step: ScenarioStep, env: dict, where: str) -> None:
+    """The parser checks literal values; a reference is checked here, once
+    it is bound, against the same schema, and so is an actor's realm."""
+    alias = step.actor.partition(":")[2]
+    if alias and not _is_int(env[alias]):
+        raise ParseError(f"{where}: actor {step.actor!r} must name a realm id, "
+                         f"but {alias!r} is bound to {reprlib.repr(env[alias])}")
+    for name, value in step.args.items():
+        if _collect_refs(value):
+            resolved = _resolve(value, env)
+            want = _arg_type_error(name, resolved, bound=True)
+            if want is not None:
+                raise ParseError(
+                    f"{where}: op {step.op!r} argument {name!r} must be {want}, "
+                    f"but {value!r} is bound to {reprlib.repr(resolved)}")
 
 
 def _check_probe_args(scenario: Scenario, policy: HostPolicy) -> None:

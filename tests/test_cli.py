@@ -201,3 +201,31 @@ def test_references_pass_the_type_checks():
         {"actor": "realm:R", "op": "rsi_csm_attach",
          "args": {"sharing": ["@R", "@R", 0]}},
         {"op": "granule_delegate", "args": {"granule": "@R"}}]})
+
+
+# A reference whose bound value has the wrong type: the same one line and
+# exit 2 as a wrong literal, before the step runs.
+@pytest.mark.parametrize("step", [
+    {"actor": "owner:R", "op": "verify_token",
+     "args": {"token": "@R", "expectation": "@R"}},
+    {"actor": "owner:R", "op": "owner_release_peer_id",
+     "args": {"token": "@S", "expectation": "@S"}},
+    {"op": "granule_delegate", "args": {"granule": "@N"}},
+    {"actor": "realm:R", "op": "rsi_csm_attach",
+     "args": {"sharing": ["@R", "@N", 0]}},
+    {"actor": "realm:R", "op": "rsi_csm_attach", "args": {"sharing": "@R"}},
+    {"actor": "realm:S", "op": "rsi_attestation_token"},
+], ids=["token_int", "token_dict", "granule_none", "sharing_element",
+        "sharing_int", "actor_dict"])
+def test_run_wrong_bound_type_is_usage_error(step, tmp_path, capsys):
+    path = tmp_path / "bound.json"
+    path.write_text(json.dumps({"schema": 1, "steps": [
+        {"op": "granule_delegate", "args": {"granule": 0}, "bind": "N"},
+        {"op": "rmi_realm_create", "args": {"rd": 0}, "bind": "R"},
+        {"op": "world_stats", "bind": "S"},
+        step]}))
+    assert main(["run", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert len(err.splitlines()) == 1
+    assert err.startswith("ParseError: step 3: ") and "is bound to" in err
