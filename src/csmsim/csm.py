@@ -13,8 +13,10 @@ is a rendezvous requiring both sides' explicit consent:
 Share and reserve may happen in either order; attach requires both records.
 
 Every realm carries one access policy table (APT) granule recording one
-entry per shared region it participates in, provider or consumer side.
-Entries of one realm never overlap. Capacity is 128 entries per table
+entry per shared region it participates in. The table keeps the two kinds
+in two lists, each in insertion order: the regions it provides and the
+windows it consumes through. Entries of one realm never overlap, whatever
+their kind. Capacity is 128 entries of both kinds together per table
 granule.
 
 Sharing identifiers are deterministic: (provider id, consumer id, counter),
@@ -103,9 +105,6 @@ class ProviderEntry:
     size: int
     shares: list = field(default_factory=list)
 
-    def is_provider(self) -> bool:
-        return True
-
 
 class WindowState(Enum):
     RESERVED = "reserved"
@@ -119,47 +118,48 @@ class ConsumerEntry:
     size: int
     state: WindowState = WindowState.RESERVED
 
-    def is_provider(self) -> bool:
-        return False
-
 
 @dataclass
 class Apt:
-    """One realm's access policy table: its shared-region records."""
-    entries: list = field(default_factory=list)
+    """One realm's access policy table: the regions it provides and the
+    windows it consumes through."""
+    providers: list = field(default_factory=list)   # ProviderEntry
+    consumers: list = field(default_factory=list)   # ConsumerEntry
     share_counters: dict = field(default_factory=dict)  # peer id -> next counter
 
     def check_can_add(self, base: int, size: int) -> None:
-        if len(self.entries) >= APT_CAPACITY:
+        """Room for one more entry of either kind at ``[base, +size)``. An
+        overlap names the first overlapping region, else the first window."""
+        if len(self.providers) + len(self.consumers) >= APT_CAPACITY:
             raise CapacityExceeded(f"policy table full at {APT_CAPACITY} entries")
         end = base + size * GRANULE_SIZE
-        for e in self.entries:
+        for e in self.providers + self.consumers:
             e_end = e.base + e.size * GRANULE_SIZE
             if base < e_end and e.base < end:
                 raise Overlap(f"[{base:#x},{end:#x}) overlaps existing entry "
                               f"at {e.base:#x}")
 
     def provider_entry(self, csm_id: int) -> ProviderEntry | None:
-        for e in self.entries:
-            if e.is_provider() and e.csm_id == csm_id:
+        for e in self.providers:
+            if e.csm_id == csm_id:
                 return e
         return None
 
     def find_by_sharing_id(self, sharing_id: tuple) -> ConsumerEntry | None:
-        for e in self.entries:
-            if not e.is_provider() and e.sharing_id == sharing_id:
+        for e in self.consumers:
+            if e.sharing_id == sharing_id:
                 return e
         return None
 
     def find_provider_covering(self, ipa: int) -> ProviderEntry | None:
-        for e in self.entries:
-            if e.is_provider() and e.base <= ipa < e.base + e.size * GRANULE_SIZE:
+        for e in self.providers:
+            if e.base <= ipa < e.base + e.size * GRANULE_SIZE:
                 return e
         return None
 
     def find_consumer_covering(self, ipa: int) -> ConsumerEntry | None:
-        for e in self.entries:
-            if not e.is_provider() and e.base <= ipa < e.base + e.size * GRANULE_SIZE:
+        for e in self.consumers:
+            if e.base <= ipa < e.base + e.size * GRANULE_SIZE:
                 return e
         return None
 
@@ -191,9 +191,7 @@ def find_share(world, sharing_id: tuple):
     p_realm = world.realm_by_id(p_id)
     if p_realm.apt is None:
         return None, None, None
-    for entry in p_realm.apt.entries:
-        if not entry.is_provider():
-            continue
+    for entry in p_realm.apt.providers:
         for record in entry.shares:
             if record.sharing_id == sharing_id:
                 return p_realm, entry, record
@@ -228,7 +226,7 @@ def rsi_csm_create(world, caller: int, base: int, size: int) -> str:
     apt.check_can_add(base, size)
     csm_id = world.next_csm_id
     world.next_csm_id += 1
-    apt.entries.append(ProviderEntry(csm_id=csm_id, base=base, size=size))
+    apt.providers.append(ProviderEntry(csm_id=csm_id, base=base, size=size))
     world.touched_realms.add(caller)
     return world.suspend(realm, PendingRsi("csm_create", base, size, csm_id=csm_id))
 
@@ -266,7 +264,7 @@ def rsi_csm_reserve(world, caller: int, sharing_id: tuple, base: int,
     if not world.protected(realm, base, size):
         raise BadState(f"[{base:#x}, +{size}) outside protected half")
     apt.check_can_add(base, size)
-    apt.entries.append(ConsumerEntry(sharing_id=sharing_id, base=base, size=size))
+    apt.consumers.append(ConsumerEntry(sharing_id=sharing_id, base=base, size=size))
     world.touched_realms.add(caller)
     return world.suspend(realm, PendingRsi("csm_reserve", base, size,
                                            sharing_id=sharing_id))
@@ -312,7 +310,7 @@ def _tear_down_window(world, c_realm, c_entry) -> None:
         for ipa in ipa_span(c_entry.base, c_entry.size):
             if ipa in c_realm.rtt.entries:
                 world.rtt_remove(c_realm, ipa)
-    c_realm.apt.entries.remove(c_entry)
+    c_realm.apt.consumers.remove(c_entry)
     world.touched_realms.add(c_realm.realm_id)
     world.emit_exit(EXIT_REMOVE_CSM, c_realm.realm_id, c_entry.base, c_entry.size)
 
@@ -345,7 +343,7 @@ def destroy_region(world, p_realm, p_entry: ProviderEntry) -> None:
     mappings persist as ordinary private data."""
     for record in list(p_entry.shares):
         revoke_share(world, p_entry, record)
-    p_realm.apt.entries.remove(p_entry)
+    p_realm.apt.providers.remove(p_entry)
     world.touched_realms.add(p_realm.realm_id)
     world.emit_exit(EXIT_REMOVE_CSM, p_realm.realm_id, p_entry.base, p_entry.size)
 

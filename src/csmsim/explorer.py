@@ -133,10 +133,8 @@ def enabled_commands(world: World, cfg: ExplorationConfig) -> list:
                 for size in range(1, cfg.csm_max_size + 1):
                     out.append((f"create(r{rid},{base:#x},{size})", actor,
                                 "rsi_csm_create", {"base": base, "size": size}))
-        p_entries = [e for e in realm.apt.entries if e.is_provider()] \
-            if realm.apt else []
-        c_entries = [e for e in realm.apt.entries if not e.is_provider()] \
-            if realm.apt else []
+        p_entries = realm.apt.providers if realm.apt else []
+        c_entries = realm.apt.consumers if realm.apt else []
         if "csm_share" in want:
             for e in p_entries:
                 for peer in live:
@@ -188,11 +186,10 @@ def _reservable_sids(world: World, rid: int, live: list) -> list:
         p_realm = world.realm_by_id(peer)
         if p_realm.apt is None:
             continue
-        for e in p_realm.apt.entries:
-            if e.is_provider():
-                for record in e.shares:
-                    if record.c_id == rid and record.sharing_id not in sids:
-                        sids.append(record.sharing_id)
+        for e in p_realm.apt.providers:
+            for record in e.shares:
+                if record.c_id == rid and record.sharing_id not in sids:
+                    sids.append(record.sharing_id)
         predicted = (peer, rid, p_realm.apt.share_counters.get(rid, 0))
         if predicted not in sids:
             sids.append(predicted)
@@ -203,8 +200,7 @@ def _host_data_commands(world: World, cfg: ExplorationConfig, live: list) -> lis
     """Low-level host commands over representative granules: exercises the
     delegation state machine alongside the sharing protocol."""
     out = []
-    free = next((g.index for g in world.granules.grans
-                 if g.state is GranuleState.UNDELEGATED), None)
+    free = world.granules.lowest_undelegated()
     if free is not None:
         out.append((f"delegate(g{free})", "host", "granule_delegate",
                     {"granule": free}))
@@ -256,14 +252,13 @@ def canonical_state(world: World) -> tuple:
         apt = None
         if r.apt is not None:
             entries = []
-            for e in r.apt.entries:
-                if e.is_provider():
-                    shares = tuple((s.sharing_id, s.perm._value_, s.attached)
-                                   for s in e.shares)
-                    entries.append(("P", e.csm_id, e.base, e.size, shares))
-                else:
-                    entries.append(("C", e.sharing_id, e.base, e.size,
-                                    e.state._value_))
+            for e in r.apt.providers:
+                shares = tuple((s.sharing_id, s.perm._value_, s.attached)
+                               for s in e.shares)
+                entries.append(("P", e.csm_id, e.base, e.size, shares))
+            for e in r.apt.consumers:
+                entries.append(("C", e.sharing_id, e.base, e.size,
+                                e.state._value_))
             apt = (tuple(sorted(entries)),
                    tuple(sorted(r.apt.share_counters.items())))
         rtt = (tuple(sorted((ipa, e.pa, e.perm._value_)

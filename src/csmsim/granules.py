@@ -116,6 +116,13 @@ class GranuleSpace:
         """The granule protection table: dense index -> PAS tag map."""
         return {g.index: g.pas for g in self.grans}
 
+    def lowest_undelegated(self) -> int | None:
+        """The index of the first granule still in the normal world."""
+        for g in self.grans:
+            if g.state is GranuleState.UNDELEGATED:
+                return g.index
+        return None
+
     def delegate(self, index: int) -> None:
         g = self[index]
         if g.state is not GranuleState.UNDELEGATED:

@@ -33,7 +33,7 @@ from .errors import ParseError, SimError
 from .granules import SecurityState
 from .host import PROBES, Host, HostPolicy
 from .invariants import check_all, check_invariants
-from .rmm import World
+from .rmm import ACCESS_KINDS, World
 
 SCHEMA_VERSION = 1
 
@@ -204,6 +204,8 @@ def _arg_type_error(name: str, value, bound: bool = False) -> str | None:
         return "an integer"
     if name in _HEX_ARGS and not _is_hex(value):
         return "a hex string"
+    if name == "kind" and value not in ACCESS_KINDS:
+        return '"read" or "write"'
     if name in _REF_ARGS and not (bound and isinstance(value, _REF_ARGS[name])):
         return f"a reference to an {_REF_ARGS[name][0].__name__}"
     if name == "sharing" and not (
@@ -289,7 +291,7 @@ def parse_scenario(obj: dict, name: str = "<inline>") -> Scenario:
 
 
 def _collect_refs(value) -> list:
-    if isinstance(value, str) and value.startswith("@"):
+    if _is_ref(value):
         return [value[1:]]
     if isinstance(value, list):
         return [r for v in value for r in _collect_refs(v)]
@@ -321,7 +323,7 @@ def load_scenario(path: str) -> Scenario:
 # ---------------------------------------------------------------- execution
 
 def _resolve(value, env: dict):
-    if isinstance(value, str) and value.startswith("@"):
+    if _is_ref(value):
         return env[value[1:]]
     if isinstance(value, list):
         return [_resolve(v, env) for v in value]

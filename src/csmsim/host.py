@@ -54,10 +54,10 @@ class Host:
     def alloc_granule(self, world) -> int:
         """Lowest-index free granule; the host pool is exactly the
         undelegated granules."""
-        for g in world.granules.grans:
-            if g.state is GranuleState.UNDELEGATED:
-                return g.index
-        raise OutOfGranules("host pool exhausted")
+        index = world.granules.lowest_undelegated()
+        if index is None:
+            raise OutOfGranules("host pool exhausted")
+        return index
 
     def _rmi(self, world, name: str, *args):
         """Issue one monitor command on behalf of the host, recording it."""

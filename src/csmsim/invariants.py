@@ -16,14 +16,18 @@ I6 Backing: protected mappings target realm-world data granules; the
 I7 Identifier freshness: realm and region identifiers are unique, below
    their counters, and never resurrected.
 
-Two checkers give the same verdicts. ``check_all`` is the reference: it
-recomputes everything from raw state. ``check_invariants``, the one callers
-use, re-verifies only what changed since the last clean check of the same
-world. The monitor logs what each command touches: granule indices in
+Two checkers give the same verdicts. Each of the rules I2-I6 is one
+function over the items it is given (a sharing, a run of history rows, a
+mapping, granules), and both checkers call it: they differ only in which
+items they visit. ``check_all`` is the reference: it visits every item and
+reads raw state alone. ``check_invariants``, the one callers use, visits
+only what changed since the last clean check of the same world. The
+monitor logs what each command touches: granule indices in
 ``GranuleSpace.touched`` and realm ids in ``World.touched_realms``. The
-incremental pass reads the new ``History`` rows and the touched granules and
-realms, plus the mappings and sharings that reach them, through indexes it
-builds from raw state and keeps up to date.
+incremental pass visits the new ``History`` rows and the touched granules
+and realms, plus the mappings and sharings that reach them, through indexes
+it builds from raw state and keeps up to date. I1 and I7 have no per-item
+form; the incremental pass covers them as ``_clean_since`` explains.
 
 The reference runs instead on the first and second check of a world (the
 second one also builds the indexes), whenever the world has disabled
@@ -106,80 +110,18 @@ def check_all(world) -> list[dict]:
     for realm in realms:
         if realm.apt is None:
             continue
-        for p_entry in [e for e in realm.apt.entries if e.is_provider()]:
+        for p_entry in realm.apt.providers:
             for record in p_entry.shares:
-                if not record.attached:
-                    continue
-                if record.c_id not in world.registry.live:
-                    out.append(_violation(
-                        "I2", f"sharing {record.sharing_id} attached to dead realm"))
-                    continue
-                c_realm = world.realm_by_id(record.c_id)
-                c_entry = (c_realm.apt.find_by_sharing_id(record.sharing_id)
-                           if c_realm.apt else None)
-                if c_entry is None or c_entry.state is not WindowState.ATTACHED:
-                    out.append(_violation(
-                        "I2", f"sharing {record.sharing_id} lacks attached window"))
-                    continue
-                for k in range(p_entry.size):
-                    p_ipa = p_entry.base + k * GRANULE_SIZE
-                    c_ipa = c_entry.base + k * GRANULE_SIZE
-                    src = realm.rtt.entries.get(p_ipa)
-                    dst = c_realm.rtt.entries.get(c_ipa)
-                    if (src is None) != (dst is None):
-                        out.append(_violation(
-                            "I2", f"sharing {record.sharing_id} offset {k}: "
-                                  f"one side unmapped"))
-                    elif src is not None and src.pa != dst.pa:
-                        out.append(_violation(
-                            "I2", f"sharing {record.sharing_id} offset {k}: "
-                                  f"pa {src.pa} vs {dst.pa}"))
-                    elif dst is not None and dst.perm is not record.perm:
-                        out.append(_violation(
-                            "I2", f"sharing {record.sharing_id} offset {k}: "
-                                  f"permission {dst.perm.value}"))
+                if record.attached:
+                    _check_sharing(out, world, realm, p_entry, record)
 
-    # I3: recorded accesses never succeeded against the rule.
-    for state, pas, kind, allowed in world.history.accesses:
-        if allowed and not _ACCESS_RULE[(state, pas)]:
-            out.append(_violation(
-                "I3", f"{state} {kind} of {pas} granule succeeded"))
-
-    # I4: invalidations and flushes pair up.
-    if Counter(world.history.invalidations) != Counter(world.history.flushes):
-        out.append(_violation("I4", "unmatched invalidation/flush counts"))
-
-    # I5/I6: every live mapping is justified and correctly backed.
+    # I3-I6: every access row, every mapping and every granule.
+    _check_accesses(out, world.history.accesses)
+    _check_flushes(out, world.history.invalidations, world.history.flushes)
     for realm in realms:
         for ipa, entry in realm.rtt.entries.items():
-            gran = world.granules[entry.pa]
-            if world.protected(realm, ipa):
-                if gran.state is not GranuleState.DATA or gran.pas is not PasTag.REALM:
-                    out.append(_violation(
-                        "I6", f"realm {realm.realm_id} maps {ipa:#x} to granule "
-                              f"{entry.pa} in state {gran.state.value}"))
-                    continue
-                if gran.owner != realm.realm_id and \
-                        not _consumer_coverage(world, realm, ipa, entry.pa):
-                    out.append(_violation(
-                        "I5", f"realm {realm.realm_id} maps foreign granule "
-                              f"{entry.pa} at {ipa:#x} without consent records"))
-            else:
-                if gran.pas is not PasTag.NORMAL:
-                    out.append(_violation(
-                        "I6", f"unprotected mapping {ipa:#x} targets "
-                              f"{gran.pas.value} granule {entry.pa}"))
-
-    # I6 continued: state/tag implication over the whole granule space.
-    for g in world.granules.grans:
-        delegated = g.state is not GranuleState.UNDELEGATED
-        if delegated and g.pas is not PasTag.REALM:
-            out.append(_violation(
-                "I6", f"granule {g.index} state {g.state.value} but "
-                      f"tag {g.pas.value}"))
-        if not delegated and g.pas is not PasTag.NORMAL:
-            out.append(_violation(
-                "I6", f"undelegated granule {g.index} tagged {g.pas.value}"))
+            _check_mapping(out, world, realm, ipa, entry)
+    _check_tags(out, world.granules.grans)
 
     # I7: identifier uniqueness and freshness.
     live = world.registry.live
@@ -193,7 +135,7 @@ def check_all(world) -> list[dict]:
         if realm is None or realm.realm_id != rid:
             out.append(_violation("I7", f"registry entry {rid} inconsistent"))
     csm_ids = [e.csm_id for realm in realms if realm.apt
-               for e in realm.apt.entries if e.is_provider()]
+               for e in realm.apt.providers]
     if len(csm_ids) != len(set(csm_ids)):
         out.append(_violation("I7", "duplicate region identifiers"))
     for cid in csm_ids:
@@ -201,6 +143,88 @@ def check_all(world) -> list[dict]:
             out.append(_violation("I7", f"region id {cid} outside counter range"))
 
     return out
+
+
+# ------------------------------------------------------------------ rules
+# Each appends the reference's findings on the items it is given.
+
+def _check_sharing(out: list, world, p_realm, p_entry, record) -> None:
+    """I2 for one attached sharing: the window maps the provider's granules
+    offset for offset, at the shared permission."""
+    if record.c_id not in world.registry.live:
+        out.append(_violation(
+            "I2", f"sharing {record.sharing_id} attached to dead realm"))
+        return
+    c_realm = world.realm_by_id(record.c_id)
+    c_entry = (c_realm.apt.find_by_sharing_id(record.sharing_id)
+               if c_realm.apt else None)
+    if c_entry is None or c_entry.state is not WindowState.ATTACHED:
+        out.append(_violation(
+            "I2", f"sharing {record.sharing_id} lacks attached window"))
+        return
+    for k in range(p_entry.size):
+        p_ipa = p_entry.base + k * GRANULE_SIZE
+        c_ipa = c_entry.base + k * GRANULE_SIZE
+        src = p_realm.rtt.entries.get(p_ipa)
+        dst = c_realm.rtt.entries.get(c_ipa)
+        if (src is None) != (dst is None):
+            out.append(_violation(
+                "I2", f"sharing {record.sharing_id} offset {k}: "
+                      f"one side unmapped"))
+        elif src is not None and src.pa != dst.pa:
+            out.append(_violation(
+                "I2", f"sharing {record.sharing_id} offset {k}: "
+                      f"pa {src.pa} vs {dst.pa}"))
+        elif dst is not None and dst.perm is not record.perm:
+            out.append(_violation(
+                "I2", f"sharing {record.sharing_id} offset {k}: "
+                      f"permission {dst.perm.value}"))
+
+
+def _check_accesses(out: list, rows) -> None:
+    """I3 over access rows: none succeeded against the rule."""
+    for state, pas, kind, allowed in rows:
+        if allowed and not _ACCESS_RULE[(state, pas)]:
+            out.append(_violation(
+                "I3", f"{state} {kind} of {pas} granule succeeded"))
+
+
+def _check_flushes(out: list, invalidations, flushes) -> None:
+    """I4 over invalidation and flush rows: they pair up."""
+    if Counter(invalidations) != Counter(flushes):
+        out.append(_violation("I4", "unmatched invalidation/flush counts"))
+
+
+def _check_mapping(out: list, world, realm, ipa: int, entry) -> None:
+    """I5 and I6 for one mapping: justified and correctly backed."""
+    gran = world.granules[entry.pa]
+    if world.protected(realm, ipa):
+        if gran.state is not GranuleState.DATA or gran.pas is not PasTag.REALM:
+            out.append(_violation(
+                "I6", f"realm {realm.realm_id} maps {ipa:#x} to granule "
+                      f"{entry.pa} in state {gran.state.value}"))
+        elif gran.owner != realm.realm_id and \
+                not _consumer_coverage(world, realm, ipa, entry.pa):
+            out.append(_violation(
+                "I5", f"realm {realm.realm_id} maps foreign granule "
+                      f"{entry.pa} at {ipa:#x} without consent records"))
+    elif gran.pas is not PasTag.NORMAL:
+        out.append(_violation(
+            "I6", f"unprotected mapping {ipa:#x} targets "
+                  f"{gran.pas.value} granule {entry.pa}"))
+
+
+def _check_tags(out: list, grans) -> None:
+    """The I6 state/tag implication over granules."""
+    for g in grans:
+        delegated = g.state is not GranuleState.UNDELEGATED
+        if delegated and g.pas is not PasTag.REALM:
+            out.append(_violation(
+                "I6", f"granule {g.index} state {g.state.value} but "
+                      f"tag {g.pas.value}"))
+        if not delegated and g.pas is not PasTag.NORMAL:
+            out.append(_violation(
+                "I6", f"undelegated granule {g.index} tagged {g.pas.value}"))
 
 
 # ------------------------------------------------------------ incremental
@@ -240,8 +264,7 @@ class _Index:
         for ipa, entry in realm.rtt.entries.items():
             maps[ipa] = entry.pa
             self.by_pa.setdefault(entry.pa, set()).add((rid, ipa))
-        p_entries = [e for e in realm.apt.entries if e.is_provider()] \
-            if realm.apt else []
+        p_entries = realm.apt.providers if realm.apt else []
         self.owned[rid] = [e.csm_id for e in p_entries]
         self.regions.update(dict.fromkeys(self.owned[rid], rid))
         consumers = self.consumers[rid] = {
@@ -307,25 +330,12 @@ def _clean_since(world, base: _Baseline, realms: dict, grans: set,
     """
     hist, idx = world.history, base.index
     n_acc, n_inv, n_flush = base.lengths
-
-    # I3: only the new access rows.
-    for state, pas, _, allowed in hist.accesses[n_acc:]:
-        if allowed and not _ACCESS_RULE[(state, pas)]:
-            return False
-
-    # I4: the baseline was balanced, so the whole is balanced exactly when
-    # the new rows are.
-    if Counter(hist.invalidations[n_inv:]) != Counter(hist.flushes[n_flush:]):
-        return False
-
-    # I6: the tags of touched granules.
-    space = world.granules
-    for index in grans:
-        g = space[index]
-        want = PasTag.NORMAL if g.state is GranuleState.UNDELEGATED \
-            else PasTag.REALM
-        if g.pas is not want:
-            return False
+    out = []
+    # I3 and I4 over the new rows: the baseline's were clean, and it was
+    # balanced, so the whole is balanced exactly when the new rows are.
+    _check_accesses(out, hist.accesses[n_acc:])
+    _check_flushes(out, hist.invalidations[n_inv:], hist.flushes[n_flush:])
+    _check_tags(out, [world.granules[index] for index in grans])
 
     # I5/I6: every mapping of a touched realm, then every other mapping of
     # a granule that is touched or that a touched realm maps or mapped.
@@ -337,8 +347,7 @@ def _clean_since(world, base: _Baseline, realms: dict, grans: set,
             continue
         for ipa, entry in realm.rtt.entries.items():
             pas.add(entry.pa)
-            if not _mapping_ok(world, realm, ipa, entry):
-                return False
+            _check_mapping(out, world, realm, ipa, entry)
     for pa in pas:
         for rid, ipa in idx.by_pa.get(pa, ()):
             if rid in rids:
@@ -347,9 +356,9 @@ def _clean_since(world, base: _Baseline, realms: dict, grans: set,
             entry = realm.rtt.entries.get(ipa) if realm else None
             # An untouched realm cannot have changed: if it did, a touch
             # went unlogged, and the reference decides.
-            if entry is None or entry.pa != pa or \
-                    not _mapping_ok(world, realm, ipa, entry):
+            if entry is None or entry.pa != pa:
                 return False
+            _check_mapping(out, world, realm, ipa, entry)
 
     # I2: attached sharings with a touched realm on either side. A touched
     # consumer's providers come from its windows and, should it be gone,
@@ -360,19 +369,17 @@ def _clean_since(world, base: _Baseline, realms: dict, grans: set,
         providers.update(idx.providers.get(rid, ()))
         realm = realms.get(rid)
         if realm is not None and realm.apt is not None:
-            providers.update(e.sharing_id[0] for e in realm.apt.entries
-                             if not e.is_provider())
+            providers.update(e.sharing_id[0] for e in realm.apt.consumers)
     for pid in providers:
         p_realm = realms.get(pid)
         if p_realm is None or p_realm.apt is None:
             continue
-        for p_entry in p_realm.apt.entries:
-            if not p_entry.is_provider():
-                continue
+        for p_entry in p_realm.apt.providers:
             for record in p_entry.shares:
-                if record.attached and (pid in rids or record.c_id in rids) \
-                        and not _sharing_ok(world, p_realm, p_entry, record):
-                    return False
+                if record.attached and (pid in rids or record.c_id in rids):
+                    _check_sharing(out, world, p_realm, p_entry, record)
+    if out:
+        return False
 
     # I7: touched realm ids, and their region ids against the index.
     reg = world.registry
@@ -390,9 +397,7 @@ def _clean_since(world, base: _Baseline, realms: dict, grans: set,
         realm = realms.get(rid)
         if realm is None or realm.apt is None:
             continue
-        for e in realm.apt.entries:
-            if not e.is_provider():
-                continue
+        for e in realm.apt.providers:
             cid = e.csm_id
             if cid in fresh or not 1 <= cid < world.next_csm_id or \
                     idx.regions.get(cid, rid) not in rids:
@@ -400,32 +405,3 @@ def _clean_since(world, base: _Baseline, realms: dict, grans: set,
             fresh.add(cid)
     return True
 
-
-def _mapping_ok(world, realm, ipa: int, entry) -> bool:
-    """I5 and I6 for one mapping, as ``check_all`` judges it."""
-    gran = world.granules[entry.pa]
-    if world.protected(realm, ipa):
-        if gran.state is not GranuleState.DATA or gran.pas is not PasTag.REALM:
-            return False
-        return gran.owner == realm.realm_id or \
-            _consumer_coverage(world, realm, ipa, entry.pa)
-    return gran.pas is PasTag.NORMAL
-
-
-def _sharing_ok(world, p_realm, p_entry, record) -> bool:
-    """I2 for one attached sharing, as ``check_all`` judges it."""
-    if record.c_id not in world.registry.live:
-        return False
-    c_realm = world.realm_by_id(record.c_id)
-    c_entry = (c_realm.apt.find_by_sharing_id(record.sharing_id)
-               if c_realm.apt else None)
-    if c_entry is None or c_entry.state is not WindowState.ATTACHED:
-        return False
-    for k in range(p_entry.size):
-        src = p_realm.rtt.entries.get(p_entry.base + k * GRANULE_SIZE)
-        dst = c_realm.rtt.entries.get(c_entry.base + k * GRANULE_SIZE)
-        if (src is None) != (dst is None):
-            return False
-        if src is not None and (src.pa != dst.pa or dst.perm is not record.perm):
-            return False
-    return True

@@ -61,6 +61,8 @@ GRANULE_BITS = 12
 # One translation-table granule backs this many contiguous mappable IPAs.
 RTT_SPAN = 512
 RTT_SPAN_BITS = RTT_SPAN.bit_length() - 1
+# What an access may be; anything else is refused before it is recorded.
+ACCESS_KINDS = ("read", "write")
 
 
 class Lifecycle(Enum):
@@ -289,6 +291,7 @@ class World:
     def physical_access(self, state: SecurityState, index: int, kind: str,
                         offset: int = 0, data: bytes | None = None,
                         length: int | None = None) -> bytes | None:
+        check_access_kind(kind)
         if not 0 <= index < len(self.granules):
             raise OutOfRange(f"granule {index}")
         gran = self.granules[index]
@@ -331,6 +334,7 @@ class World:
     def realm_access(self, realm_id: int, ipa: int, kind: str,
                      offset: int = 0, data: bytes | None = None,
                      length: int | None = None) -> bytes | None:
+        check_access_kind(kind)
         self.ipa_check_aligned(ipa)
         realm = self.realm_by_id(realm_id)
         entry, reason = self._translate(realm, ipa, kind)
@@ -386,8 +390,9 @@ class World:
             raise BadState("policy table destroyed during realm destruction only")
         if realm.apt is None or realm.apt_granule != apt_granule:
             raise BadState(f"granule {apt_granule} is not this realm's policy table")
-        if realm.apt.entries:
-            raise NotEmpty(f"{len(realm.apt.entries)} policy entries remain")
+        left = len(realm.apt.providers) + len(realm.apt.consumers)
+        if left:
+            raise NotEmpty(f"{left} policy entries remain")
         self.granules.release(apt_granule)
         realm.apt = None
         realm.apt_granule = None
@@ -511,9 +516,9 @@ class World:
         realm.tearing_down = True
         self.touched_realms.add(realm.realm_id)
         if realm.apt is not None:
-            for entry in [e for e in realm.apt.entries if e.is_provider()]:
+            for entry in list(realm.apt.providers):
                 destroy_region(self, realm, entry)
-            for entry in [e for e in realm.apt.entries if not e.is_provider()]:
+            for entry in list(realm.apt.consumers):
                 detach_window(self, realm, entry)
         # Remaining mappings are private data or unprotected normal-world
         # pages; unmap them all (with flushes) and reclaim owned granules.
@@ -582,6 +587,11 @@ def check_ipa_width(ipa_width: int) -> None:
         raise BadState(f"ipa_width {ipa_width}")
 
 
+def check_access_kind(kind) -> None:
+    if kind not in ACCESS_KINDS:
+        raise BadState(f"access kind {kind!r}")
+
+
 def check_content_size(content: bytes) -> None:
     """Measured image content fills at most one granule."""
     if len(content) > GRANULE_SIZE:
@@ -611,7 +621,8 @@ def _clone_realm(realm: RealmDescriptor) -> RealmDescriptor:
     new.rtt = Rtt({ipa: _shallow(e) for ipa, e in realm.rtt.entries.items()},
                   dict(realm.rtt.backed))
     if realm.apt is not None:
-        new.apt = Apt([_clone_apt_entry(e) for e in realm.apt.entries],
+        new.apt = Apt(list(map(_clone_provider, realm.apt.providers)),
+                      list(map(_shallow, realm.apt.consumers)),
                       dict(realm.apt.share_counters))
     if realm.rec is not None:
         new.rec = _shallow(realm.rec)
@@ -621,8 +632,7 @@ def _clone_realm(realm: RealmDescriptor) -> RealmDescriptor:
     return new
 
 
-def _clone_apt_entry(entry):
+def _clone_provider(entry):
     new = _shallow(entry)
-    if entry.is_provider():
-        new.shares = [_shallow(s) for s in entry.shares]
+    new.shares = [_shallow(s) for s in entry.shares]
     return new

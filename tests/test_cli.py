@@ -174,8 +174,13 @@ def test_owner_expectation_rejects_what_the_monitor_refuses(args, tmp_path,
                 "args": {"token": 5, "expectation": "@R"}}]},
     {"steps": [{"actor": "realm:R", "op": "rsi_csm_attach",
                 "args": {"sharing": [1, 2]}}]},
+    {"steps": [{"actor": "root", "op": "physical_access",
+                "args": {"granule": 0, "kind": "Write", "data": "41"}}]},
+    {"steps": [{"actor": "realm:R", "op": "realm_access",
+                "args": {"ipa": 0, "kind": "Write", "data": "41"}}]},
 ], ids=["granule", "probe_rd", "granules", "seed", "negative_seed", "data",
-        "content", "bool", "image", "token", "sharing"])
+        "content", "bool", "image", "token", "sharing", "physical_kind",
+        "realm_kind"])
 def test_run_wrong_argument_type_is_usage_error(doc, tmp_path, capsys):
     bind = [{"op": "granule_delegate", "args": {"granule": 0}},
             {"op": "rmi_realm_create", "args": {"rd": 0}, "bind": "R"}]
@@ -215,8 +220,10 @@ def test_references_pass_the_type_checks():
      "args": {"sharing": ["@R", "@N", 0]}},
     {"actor": "realm:R", "op": "rsi_csm_attach", "args": {"sharing": "@R"}},
     {"actor": "realm:S", "op": "rsi_attestation_token"},
+    {"actor": "root", "op": "physical_access",
+     "args": {"granule": 1, "kind": "@S", "data": "41"}},
 ], ids=["token_int", "token_dict", "granule_none", "sharing_element",
-        "sharing_int", "actor_dict"])
+        "sharing_int", "actor_dict", "kind_dict"])
 def test_run_wrong_bound_type_is_usage_error(step, tmp_path, capsys):
     path = tmp_path / "bound.json"
     path.write_text(json.dumps({"schema": 1, "steps": [

@@ -121,6 +121,18 @@ def test_reserve_wrong_consumer_and_overlap(world, coop):
                      sharing=[1, 2, 1], base=0x5000, size=1) == "Overlap"
 
 
+def test_overlap_names_a_region_before_a_window(world, coop):
+    """A range overlapping entries of both kinds is refused naming the
+    first overlapping region, even if a window was reserved before it."""
+    p, c = two_realms(world)
+    rsi(world, coop, c, "rsi_csm_reserve", sharing=[p, c, 0], base=0x5000, size=2)
+    rsi(world, coop, c, "rsi_csm_create", base=0x7000, size=1)
+    _, result, _ = execute_step(world, coop, f"realm:{c}", "rsi_csm_create",
+                                {"base": 0x6000, "size": 2})
+    assert result == {"error": "Overlap", "detail": "[0x6000,0x8000) overlaps "
+                                                    "existing entry at 0x7000"}
+
+
 def test_reserve_reclaims_resident_granules(world, coop):
     p, c = two_realms(world)
     # The consumer has private data inside its future window.
@@ -199,6 +211,26 @@ def test_read_only_window(world, coop):
         world.realm_access(c, 0x5000, "write", data=b"vandalism")
 
 
+@pytest.mark.parametrize("kind", ["Write", "WRITE", "", None])
+def test_access_of_unknown_kind_is_refused(world, coop, kind):
+    """Only "read" and "write" are accesses: a read-only window cannot be
+    written by spelling the kind another way, and nothing is recorded."""
+    p, c, _, _ = established_sharing(world, coop, perm="ro")
+    before = world.realm_access(p, 0x2000, "read")
+    accesses = len(world.history.accesses)
+    _, result, _ = execute_step(world, coop, f"realm:{c}", "realm_access",
+                                {"ipa": 0x5000, "kind": kind, "data": "4100"})
+    refused = {"error": "BadState", "detail": f"access kind {kind!r}"}
+    assert result == refused
+    _, result, _ = execute_step(world, coop, "root", "physical_access",
+                                {"granule": 30, "kind": kind, "data": "4100"})
+    assert result == refused
+    assert world.realm_access(p, 0x2000, "read") == before
+    assert world.granules[30].content == bytes(GRANULE_SIZE)
+    assert len(world.history.accesses) == accesses + 1
+    assert check_invariants(world) == []
+
+
 def test_revoke_cuts_access_with_flushes(world, coop):
     p, c, _, sid = established_sharing(world, coop)
     flushes_before = len(world.history.flushes)
@@ -217,7 +249,7 @@ def test_revoke_reserved_only_no_flush(world, coop):
     flushes_before = len(world.history.flushes)
     rsi(world, coop, p, "rsi_csm_revoke", sharing=sid)
     assert len(world.history.flushes) == flushes_before
-    assert world.realm_by_id(c).apt.entries == []
+    assert world.realm_by_id(c).apt.consumers == []
 
 
 def test_revoke_authority(world, coop):
@@ -259,7 +291,7 @@ def test_destroy_unshared_single_removal(world, coop):
     # Region reverts to ordinary private memory, contents intact.
     assert world.realm_access(p, 0x2000, "read", length=21) == \
         b"mine before and after"
-    assert world.realm_by_id(p).apt.entries == []
+    assert world.realm_by_id(p).apt.providers == []
 
 
 def test_destroy_authority(world, coop):
@@ -299,8 +331,7 @@ def test_shared_region_repopulation_propagates(world, coop):
     # Both sides lost the page, with one flush each.
     assert world.rmi_rtt_read_entry(8, 0x6000) == {"state": "unassigned"}
     assert len(world.history.flushes) == flushes_before + 2
-    free = next(g.index for g in world.granules.grans
-                if g.state is GranuleState.UNDELEGATED)
+    free = world.granules.lowest_undelegated()
     world.granule_delegate(free)
     world.rmi_data_create_unknown(0, free, 0x3000)
     assert world.rmi_rtt_read_entry(8, 0x6000)["pa"] == free
@@ -337,7 +368,7 @@ def test_apt_capacity(coop):
     p = build_realm(world, 0, width=24)
     apt = world.realm_by_id(p).apt
     for i in range(APT_CAPACITY):
-        apt.entries.append(ConsumerEntry(sharing_id=(9, p, i),
+        apt.consumers.append(ConsumerEntry(sharing_id=(9, p, i),
                                          base=0x100000 + i * GRANULE_SIZE,
                                          size=1))
     assert rsi_error(world, coop, p, "rsi_csm_create",

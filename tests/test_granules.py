@@ -54,6 +54,18 @@ def test_delegate_wipes_and_retags():
     assert g.content == bytes(GRANULE_SIZE)
 
 
+def test_lowest_undelegated_skips_the_realm_world():
+    space = GranuleSpace(3)
+    assert space.lowest_undelegated() == 0
+    space.delegate(0)
+    space.delegate(2)
+    assert space.lowest_undelegated() == 1
+    space.delegate(1)
+    assert space.lowest_undelegated() is None
+    space.undelegate(2)
+    assert space.lowest_undelegated() == 2
+
+
 def test_delegate_rejects_non_undelegated():
     space = GranuleSpace(4)
     space.delegate(1)

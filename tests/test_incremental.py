@@ -37,10 +37,11 @@ def realm_view(world) -> dict:
     for realm in world.realms.values():
         apt = None
         if realm.apt is not None:
-            apt = [(e.csm_id, e.base, e.size,
-                    [(s.sharing_id, s.c_id, s.perm, s.attached) for s in e.shares])
-                   if e.is_provider() else (e.sharing_id, e.base, e.size, e.state)
-                   for e in realm.apt.entries]
+            apt = ([(e.csm_id, e.base, e.size,
+                     [(s.sharing_id, s.c_id, s.perm, s.attached) for s in e.shares])
+                    for e in realm.apt.providers],
+                   [(e.sharing_id, e.base, e.size, e.state)
+                    for e in realm.apt.consumers])
         rtt = {ipa: (e.pa, e.perm) for ipa, e in realm.rtt.entries.items()}
         out[realm.realm_id] = (rtt, apt)
     return out
@@ -180,18 +181,53 @@ def single_foreign_mapping(world, coop):
     return corrupt
 
 
-def view_divergence(world, coop):
+def attached_sharing(world, coop, perm):
     p = build_realm(world, 0)
     c = build_realm(world, 8)
     csm = rsi(world, coop, p, "rsi_csm_create", base=0x2000, size=2)
-    sid = rsi(world, coop, p, "rsi_csm_share", csm=csm, c_id=c, perm="rw")
+    sid = rsi(world, coop, p, "rsi_csm_share", csm=csm, c_id=c, perm=perm)
     rsi(world, coop, c, "rsi_csm_reserve", sharing=sid, base=0x5000, size=2)
     rsi(world, coop, c, "rsi_csm_attach", sharing=sid)
+    return p, c
+
+
+def view_divergence(world, coop):
+    _, c = attached_sharing(world, coop, "rw")
 
     def corrupt():
         entries = world.realm_by_id(c).rtt.entries
         entries[0x5000] = RttEntry(entries[0x6000].pa, entries[0x5000].perm)
         world.touched_realms.add(c)
+    return corrupt
+
+
+def window_permission(world, coop):
+    """Only I2 sees it: consent does not depend on the permission."""
+    _, c = attached_sharing(world, coop, "ro")
+
+    def corrupt():
+        world.realm_by_id(c).rtt.entries[0x5000].perm = Permission.READ_WRITE
+        world.touched_realms.add(c)
+    return corrupt
+
+
+def share_permission(world, coop):
+    p, _ = attached_sharing(world, coop, "ro")
+
+    def corrupt():
+        world.realm_by_id(p).apt.providers[0].shares[0].perm = Permission.READ_WRITE
+        world.touched_realms.add(p)
+    return corrupt
+
+
+def released_while_mapped(world, coop):
+    """Only the granule is touched; the realm that maps it is not."""
+    build_realm(world, 0, image=[(8, 0x0000, b"x")])
+
+    def corrupt():
+        world.granules[8].state = GranuleState.DELEGATED
+        world.granules[8].owner = 0
+        world.granules.touched.add(8)
     return corrupt
 
 
@@ -236,7 +272,7 @@ def duplicate_region_id(world, coop):
     rsi(world, coop, p, "rsi_csm_create", base=0x2000, size=1)
 
     def corrupt():
-        world.realm_by_id(p).apt.entries.append(
+        world.realm_by_id(p).apt.providers.append(
             ProviderEntry(csm_id=1, base=0x8000, size=1))
         world.touched_realms.add(p)
     return corrupt
@@ -252,9 +288,10 @@ def registry_inconsistency(world, coop):
 
 
 @pytest.mark.parametrize("setup", [
-    foreign_mapping, single_foreign_mapping, view_divergence, missing_flush,
-    illegal_access, wrong_backing, wrong_tag, duplicate_region_id,
-    registry_inconsistency], ids=lambda f: f.__name__)
+    foreign_mapping, single_foreign_mapping, view_divergence, window_permission,
+    share_permission, released_while_mapped, missing_flush, illegal_access,
+    wrong_backing, wrong_tag, duplicate_region_id, registry_inconsistency],
+    ids=lambda f: f.__name__)
 def test_incremental_pass_catches_touched_corruption(setup, world, coop,
                                                       reference_calls):
     corrupt = setup(world, coop)

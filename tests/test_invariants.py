@@ -84,7 +84,7 @@ def test_duplicate_region_id_trips_freshness(world, coop):
     rsi(world, coop, p, "rsi_csm_create", base=0x2000, size=1)
     apt = world.realm_by_id(p).apt
     from csmsim.csm import ProviderEntry
-    apt.entries.append(ProviderEntry(csm_id=1, base=0x8000, size=1))
+    apt.providers.append(ProviderEntry(csm_id=1, base=0x8000, size=1))
     assert "I7" in codes(check_invariants(world))
 
 

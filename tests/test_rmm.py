@@ -42,7 +42,8 @@ def test_apt_create_rules(world):
     world.granule_delegate(1)
     world.rmi_apt_create(0, 1)
     assert world.realm_at(0).apt is not None
-    assert world.realm_at(0).apt.entries == []
+    apt = world.realm_at(0).apt
+    assert apt.providers == [] and apt.consumers == []
     world.granule_delegate(5)
     with pytest.raises(AlreadyExists):
         world.rmi_apt_create(0, 5)
