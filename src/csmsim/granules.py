@@ -92,17 +92,29 @@ class Granule:
 
 @dataclass
 class GranuleSpace:
-    """All physical granules plus the GPT view over them."""
+    """All physical granules plus the GPT view over them.
+
+    ``low`` is a low-water index: every granule below it is delegated, so
+    it is the lowest undelegated granule, or ``count`` when there is none.
+    Only ``delegate`` and ``undelegate`` change that answer, so only they
+    move it: ``undelegate(i)`` lowers it to ``i``, and ``delegate(low)``
+    walks it up past the delegated granules above. ``lowest_undelegated``
+    only reads it. The walks add up to at most one pass over the space
+    plus the distances undelegates lowered the index, so they follow the
+    granules in use, not the granule count.
+    """
 
     count: int
     grans: list = field(default_factory=list)
     # Indices whose state, tag or owner changed since the invariant checker
     # last took this set (see :mod:`csmsim.invariants`).
     touched: set = field(default_factory=set)
+    low: int = field(init=False, default=0)
 
     def __post_init__(self):
         if not self.grans:
             self.grans = [Granule(i) for i in range(self.count)]
+        self.low = self._next_undelegated(0)
 
     def __len__(self) -> int:
         return self.count
@@ -118,10 +130,14 @@ class GranuleSpace:
 
     def lowest_undelegated(self) -> int | None:
         """The index of the first granule still in the normal world."""
-        for g in self.grans:
-            if g.state is GranuleState.UNDELEGATED:
-                return g.index
-        return None
+        return self.low if self.low < self.count else None
+
+    def _next_undelegated(self, index: int) -> int:
+        """The first undelegated granule at or above ``index``, or ``count``."""
+        grans = self.grans
+        while index < self.count and grans[index].state is not GranuleState.UNDELEGATED:
+            index += 1
+        return index
 
     def delegate(self, index: int) -> None:
         g = self[index]
@@ -131,6 +147,8 @@ class GranuleSpace:
         g.pas = PasTag.REALM
         g.content = ZERO_GRANULE
         self.touched.add(index)
+        if index == self.low:
+            self.low = self._next_undelegated(index + 1)
 
     def undelegate(self, index: int) -> None:
         g = self[index]
@@ -140,6 +158,7 @@ class GranuleSpace:
         g.pas = PasTag.NORMAL
         g.content = ZERO_GRANULE
         self.touched.add(index)
+        self.low = min(self.low, index)
 
     def retag(self, index: int, state: GranuleState, owner: int) -> None:
         """Move a DELEGATED granule into a realm-owned state (RD/REC/RTT/DATA/APT)."""

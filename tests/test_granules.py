@@ -1,16 +1,19 @@
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from csmsim.errors import BadState, Fault, OutOfRange
 from csmsim.granules import (
     GRANULE_SIZE,
+    Granule,
     GranuleSpace,
     GranuleState,
     PasTag,
     SecurityState,
     gpc_check,
 )
+from csmsim.host import Host, HostPolicy
+from csmsim.rmm import World
 
 # Independent statement of the access rule: rows are security states in
 # (normal, secure, realm, root) order, columns PAS tags in the same order.
@@ -64,6 +67,99 @@ def test_lowest_undelegated_skips_the_realm_world():
     assert space.lowest_undelegated() is None
     space.undelegate(2)
     assert space.lowest_undelegated() == 2
+
+
+def scan_lowest_undelegated(space) -> int | None:
+    """The reference for ``lowest_undelegated``: a scan from granule 0."""
+    for g in space.grans:
+        if g.state is GranuleState.UNDELEGATED:
+            return g.index
+    return None
+
+
+GRANULE_OPS = st.tuples(
+    st.sampled_from(["delegate", "undelegate", "retag", "release", "clone"]),
+    st.integers(0, 11),   # granule index, taken modulo the granule count
+    st.integers(0, 3))    # which world, taken modulo the number of worlds
+
+
+@settings(max_examples=200, deadline=None)
+@given(count=st.integers(1, 12), ops=st.lists(GRANULE_OPS, max_size=60))
+def test_lowest_undelegated_matches_a_scan(count, ops):
+    """The low-water index against the scan, on parents and clones alike,
+    after every operation, refused ones included."""
+    worlds = [World(granule_count=count)]
+    for op, index, which in ops:
+        world = worlds[which % len(worlds)]
+        if op == "clone":
+            worlds.append(world.clone())
+            continue
+        space, index = world.granules, index % count
+        try:
+            if op == "retag":
+                space.retag(index, GranuleState.DATA, owner=1)
+            else:
+                getattr(space, op)(index)
+        except BadState:
+            pass
+        for w in worlds:
+            assert w.granules.lowest_undelegated() == \
+                scan_lowest_undelegated(w.granules)
+
+
+@pytest.mark.parametrize("delegated", [(), (0,), (0, 1), (1, 3), (0, 1, 2, 3)])
+def test_lowest_undelegated_of_a_given_granule_list(delegated):
+    grans = [Granule(i) for i in range(4)]
+    for i in delegated:
+        grans[i].state, grans[i].pas = GranuleState.DELEGATED, PasTag.REALM
+    space = GranuleSpace(4, grans=grans)
+    while space.lowest_undelegated() is not None:
+        assert space.lowest_undelegated() == scan_lowest_undelegated(space)
+        space.delegate(space.lowest_undelegated())
+    assert scan_lowest_undelegated(space) is None
+
+
+class CountingList(list):
+    """A granule list that counts the granules read from it."""
+
+    reads = 0
+
+    def __getitem__(self, index):
+        self.reads += 1
+        return super().__getitem__(index)
+
+    def __iter__(self):
+        for g in super().__iter__():
+            self.reads += 1
+            yield g
+
+
+def allocation_reads(count: int) -> int:
+    """Granules read by a populate-and-reclaim churn: the host allocates and
+    delegates five granules, then gives back a low and the highest one."""
+    world = World(granule_count=count)
+    host = Host(HostPolicy.COOPERATIVE)
+    grans = world.granules.grans = CountingList(world.granules.grans)
+    held = []
+    for r in range(60):
+        for _ in range(5):
+            g = host.alloc_granule(world)
+            world.granule_delegate(g)
+            held.append(g)
+        held.sort()
+        for g in (held.pop(r % 3), held.pop()):
+            world.granule_undelegate(g)
+    reads, space = grans.reads, world.granules
+    assert space.lowest_undelegated() == scan_lowest_undelegated(space)
+    return reads
+
+
+def test_allocation_reads_do_not_grow_with_the_granule_count(monkeypatch):
+    reads = allocation_reads(512)
+    assert allocation_reads(4096) == reads
+    # The scan the index replaced reads more on the same churn.
+    monkeypatch.setattr(GranuleSpace, "lowest_undelegated", scan_lowest_undelegated)
+    assert allocation_reads(512) > reads
 
 
 def test_delegate_rejects_non_undelegated():

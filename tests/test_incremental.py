@@ -8,6 +8,8 @@ tests hold the two checkers to the same verdicts, on every builtin and on
 corruptions injected while the incremental pass is armed.
 """
 
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -315,6 +317,54 @@ def test_reference_runs_for_a_mutant_and_a_shorter_history(world, coop,
     world.history.accesses.clear()
     check_invariants(world)
     assert len(reference_calls) == 1
+
+
+def refuse(*args):
+    raise AssertionError("a check with nothing to check did work")
+
+
+def test_a_step_that_touches_nothing_is_not_checked(world, coop, reference_calls,
+                                                    monkeypatch):
+    build_realm(world, 0, image=[(8, 0x0000, b"x")])
+    arm(world, reference_calls)
+    monkeypatch.setattr(invariants, "_clean_since", refuse)
+    monkeypatch.setattr(invariants, "check_all", refuse)
+    execute_step(world, coop, "host", "rmi_rtt_read_entry", {"rd": 0, "ipa": 0})
+    assert not world.granules.touched and not world.touched_realms
+    assert check_invariants(world) == []
+    assert invariants._baseline.world() is world
+
+
+def test_a_step_that_only_adds_history_rows_is_checked(world, coop,
+                                                       reference_calls,
+                                                       monkeypatch):
+    rid = build_realm(world, 0, image=[(8, 0x0000, b"x")])
+    arm(world, reference_calls)
+    clean_since, passes = invariants._clean_since, []
+
+    def counted(*args):
+        passes.append(args)
+        return clean_since(*args)
+
+    monkeypatch.setattr(invariants, "_clean_since", counted)
+    execute_step(world, coop, f"realm:{rid}", "realm_access",
+                 {"ipa": 0, "kind": "read", "length": 1})
+    assert not world.granules.touched and not world.touched_realms
+    assert check_invariants(world) == []
+    assert len(passes) == 1 and reference_calls == []
+
+
+@pytest.mark.parametrize("invalidations, flushes", [
+    ([], []),
+    ([(1, 0x0000), (2, 0x1000)], [(1, 0x0000), (2, 0x1000)]),
+    ([(1, 0x0000), (2, 0x1000)], [(2, 0x1000), (1, 0x0000)]),
+    ([(1, 0x0000), (1, 0x0000)], [(1, 0x0000), (2, 0x1000)]),
+    ([(1, 0x0000)], [(2, 0x1000)]),
+], ids=["empty", "equal", "reordered", "unbalanced", "mismatched"])
+def test_flush_pairing_is_a_multiset_comparison(invalidations, flushes):
+    out = []
+    invariants._check_flushes(out, invalidations, flushes)
+    assert bool(out) == (Counter(invalidations) != Counter(flushes))
 
 
 # ------------------------------------------------------------ final audit
