@@ -23,12 +23,18 @@ items they visit. ``check_all`` is the reference: it visits every item and
 reads raw state alone. ``check_invariants``, the one callers use, visits
 only what changed since the last clean check of the same world. The
 monitor logs what each command touches: granule indices in
-``GranuleSpace.touched`` and realm ids in ``World.touched_realms``. The
-incremental pass visits the new ``History`` rows and the touched granules
-and realms, plus the mappings and sharings that reach them, through indexes
-it builds from raw state and keeps up to date. I1 and I7 have no per-item
-form; the incremental pass covers them as ``_clean_since`` explains. A
-check with nothing touched and no new row has nothing to visit and
+``GranuleSpace.touched``, the (realm id, ipa) of each translation-table
+entry installed or removed in ``World.touched_maps``, and the ids of
+realms whose policy table, share records or registry entry changed in
+``World.touched_realms``. The incremental pass visits the new ``History``
+rows, the touched granules and mappings, and the mappings and sharings
+whose verdict reads what changed, found through indexes it builds from
+raw state and keeps up to date. An own mapping (its granule's owner is
+its realm) never reads a policy table, so a policy edit reaches only the
+foreign mappings its windows and records vouched for; a table edit
+reaches the mappings of the granules it moved. ``_clean_since`` gives the
+whole argument; I1 and I7 have no per-item form, and it covers them too.
+A check with nothing touched and no new row has nothing to visit and
 returns at once.
 
 The reference runs instead on the first and second check of a world (the
@@ -46,7 +52,7 @@ for itself.
 import weakref
 from collections import Counter
 
-from .csm import WindowState, find_share
+from .csm import WindowState, find_share, ipa_span
 from .granules import GRANULE_SIZE, GranuleState, PasTag
 
 # Independent transcription of the hardware rule (state row, tag column).
@@ -234,52 +240,106 @@ def _check_tags(out: list, grans) -> None:
 
 class _Index:
     """What the incremental pass must know of the last clean state, built
-    from raw state and updated per touched realm after each clean pass."""
+    from raw state and updated after each clean pass: per touched mapping
+    for the mapping tables, per touched realm for the policy tables."""
 
     def __init__(self, world):
+        self.realms = {r.realm_id: r for r in world.realms.values()}
         self.maps = {}       # realm id -> {ipa: pa}
         self.by_pa = {}      # pa -> {(realm id, ipa)} mapping it
         self.regions = {}    # region id -> provider realm id
         self.owned = {}      # realm id -> its region ids
-        self.consumers = {}  # provider id -> consumer ids attached to it
-        self.providers = {}  # consumer id -> provider ids attached to it
-        for realm in world.realms.values():
-            self._add(realm)
+        self.records = {}    # realm id -> first record keys, as _policy
+        self.windows = {}    # realm id -> windows, as _policy
+        self.attached = {}   # sharing id -> [(provider, region, record)]
+        self.shared = {}     # realm id -> sharing ids of its attached records
+        for rid, realm in self.realms.items():
+            maps = self.maps[rid] = {}
+            for ipa, entry in realm.rtt.entries.items():
+                maps[ipa] = entry.pa
+                self.by_pa.setdefault(entry.pa, set()).add((rid, ipa))
+            self._add_policy(realm, _policy(realm, rid in world.registry.live))
 
-    def update(self, realms: dict, touched: set) -> None:
-        for rid in touched:
-            self._drop(rid)
-        for rid in touched:
-            if rid in realms:
-                self._add(realms[rid])
+    def update(self, realms: dict, maps: set, policy: dict) -> None:
+        """Take in a clean pass over ``realms``: the touched mappings, and
+        the ``_policy`` it computed of each touched realm."""
+        self.realms = realms
+        for rid, ipa in maps:
+            own = self.maps.setdefault(rid, {})
+            old = own.pop(ipa, None)
+            if old is not None:
+                self.by_pa[old].discard((rid, ipa))
+            realm = realms.get(rid)
+            entry = realm.rtt.entries.get(ipa) if realm is not None else None
+            if entry is not None:
+                own[ipa] = entry.pa
+                self.by_pa.setdefault(entry.pa, set()).add((rid, ipa))
+        for rid, scan in policy.items():
+            self._drop_policy(rid)
+            realm = realms.get(rid)
+            if realm is not None:
+                self._add_policy(realm, scan)
+            else:
+                for ipa, pa in self.maps.pop(rid, {}).items():
+                    self.by_pa[pa].discard((rid, ipa))
 
-    def _drop(self, rid: int) -> None:
-        for ipa, pa in self.maps.pop(rid, {}).items():
-            self.by_pa[pa].discard((rid, ipa))
+    def _drop_policy(self, rid: int) -> None:
         for cid in self.owned.pop(rid, ()):
             del self.regions[cid]
-        for c_id in self.consumers.pop(rid, ()):
-            self.providers[c_id].discard(rid)
+        for sid in self.shared.pop(rid, ()):
+            refs = [r for r in self.attached[sid] if r[0].realm_id != rid]
+            if refs:
+                self.attached[sid] = refs
+            else:
+                del self.attached[sid]
+        self.records.pop(rid, None)
+        self.windows.pop(rid, None)
 
-    def _add(self, realm) -> None:
+    def _add_policy(self, realm, scan: tuple) -> None:
         rid = realm.realm_id
-        maps = self.maps[rid] = {}
-        for ipa, entry in realm.rtt.entries.items():
-            maps[ipa] = entry.pa
-            self.by_pa.setdefault(entry.pa, set()).add((rid, ipa))
-        p_entries = realm.apt.providers if realm.apt else []
-        self.owned[rid] = [e.csm_id for e in p_entries]
+        self.owned[rid] = [e.csm_id for e in realm.apt.providers] \
+            if realm.apt else []
         self.regions.update(dict.fromkeys(self.owned[rid], rid))
-        consumers = self.consumers[rid] = {
-            s.c_id for e in p_entries for s in e.shares if s.attached}
-        for c_id in consumers:
-            self.providers.setdefault(c_id, set()).add(rid)
+        self.records[rid], attached, self.windows[rid] = scan
+        for e, s, _ in attached:
+            self.attached.setdefault(s.sharing_id, []).append((realm, e, s))
+        self.shared[rid] = {s.sharing_id for _, s, _ in attached}
+
+
+def _policy(realm, live: bool) -> tuple:
+    """What the pass compares of a realm's policy table: the key of the
+    first record of each sharing id, in the order ``find_share`` searches a
+    live provider (none when the realm is not live); (region, record, key)
+    of every attached record; and the windows in table order, each as
+    (sharing id, base, size, state). A record's key is what a mapping's
+    consent reads of it and its region."""
+    first, attached = {}, []
+    if realm is None or realm.apt is None:
+        return first, attached, ()
+    for e in realm.apt.providers:
+        for s in e.shares:
+            key = (e.csm_id, e.base, e.size, s.c_id, s.perm, s.attached)
+            first.setdefault(s.sharing_id, key)
+            if s.attached:
+                attached.append((e, s, key))
+    windows = tuple((w.sharing_id, w.base, w.size, w.state)
+                    for w in realm.apt.consumers)
+    return first if live else {}, attached, windows
+
+
+def _first_windows(windows: tuple) -> dict:
+    """Sharing id -> its first window, as ``find_by_sharing_id`` finds it."""
+    out = {}
+    for w in windows:
+        out.setdefault(w[0], w)
+    return out
 
 
 class _Baseline:
-    """The last world found clean: a weak reference, so a finished world is
-    freed, the lengths of its ``History`` lists, and the indexes, built on
-    that world's second check."""
+    """The last world found clean: a weak reference, so a finished world's
+    granules are freed (the indexes hold on to its realm descriptors until
+    another world takes the slot), the lengths of its ``History`` lists,
+    and the indexes, built on that world's second check."""
 
     __slots__ = ("world", "lengths", "index")
 
@@ -305,22 +365,27 @@ def check_invariants(world) -> list[dict]:
     same = base is not None and base.world() is world
     armed = same and base.index is not None and not world.disabled_checks
     if armed and lengths == base.lengths and not world.granules.touched \
-            and not world.touched_realms:
+            and not world.touched_maps and not world.touched_realms:
         # Nothing changed since the clean check: what ``_clean_since``
         # finds over empty inputs.
         _baseline = base
         return []
     if armed and all(n >= m for n, m in zip(lengths, base.lengths)):
         grans, world.granules.touched = world.granules.touched, set()
+        maps, world.touched_maps = world.touched_maps, set()
         rids, world.touched_realms = world.touched_realms, set()
-        realms = {r.realm_id: r for r in world.realms.values()}
-        if _clean_since(world, base, realms, grans, rids):
+        # Only a logged registry edit adds or drops a realm.
+        realms = base.index.realms if not rids else \
+            {r.realm_id: r for r in world.realms.values()}
+        policy = _clean_since(world, base, realms, grans, maps, rids)
+        if policy is not None:
             base.lengths = lengths
-            base.index.update(realms, rids)
+            base.index.update(realms, maps, policy)
             _baseline = base
             return []
     # The reference reads everything, so the touch log starts afresh.
     world.granules.touched.clear()
+    world.touched_maps.clear()
     world.touched_realms.clear()
     out = check_all(world)
     if not out and not world.disabled_checks:
@@ -329,15 +394,70 @@ def check_invariants(world) -> list[dict]:
 
 
 def _clean_since(world, base: _Baseline, realms: dict, grans: set,
-                 rids: set) -> bool:
-    """Whether the items changed since ``base`` still satisfy I1-I7.
+                 maps: set, rids: set) -> dict | None:
+    """The ``_policy`` of each touched realm if the items changed since
+    ``base`` still satisfy I1-I7, else None.
+
+    The baseline was clean, so only an item whose verdict reads something
+    that changed can have turned bad. A mapping's verdict (I5/I6) reads its
+    entry, its granule and its realm's ``ipa_width``, which never changes.
+    An own mapping (its granule's owner is its realm) reads nothing more:
+    never the policy tables. A foreign mapping was clean only because the
+    first window of its realm covering it was attached and the first
+    provider record of that window's sharing id was attached, named the
+    realm, and lay in a region whose provider mapped the same granule at
+    the same offset. So the pass visits these mappings:
+
+    (a) every touched mapping;
+    (b) every other mapping of a touched granule, or of a touched mapping's
+        old or new granule (a provider remapping its region's page changes
+        the old granule's consumers);
+    (c) in a touched realm whose window list changed other than by appends
+        at its end, every mapping in its baseline attached windows from the
+        first changed position on (a window earlier in the list still comes
+        first where it did);
+    (d) for each sharing id whose first record at a touched provider
+        changed from an attached one, every mapping in the baseline attached
+        windows of that sharing id at the record's consumer.
+
+    (e) I2 over a sharing reads its record and region, the consumer's first
+    window of its sharing id, the consumer's registry entry and both
+    realms' mappings over the region and window. It runs for each attached
+    sharing whose record, at a touched provider, differs from the
+    baseline's first record of its sharing id (a second record equal to the
+    first reads the same), whose consumer changed that window or left the
+    registry, or that holds a touched mapping in its region or window.
 
     I1 has no pass of its own: a protected mapping that I1 flags maps a
     granule its realm does not own without covering records, which I5
     flags too unless I6 already did. So when I5 and I6 find nothing over
-    all protected mappings, I1 finds nothing either.
+    all protected mappings, I1 finds nothing either. I7 reads only the
+    registry and the region ids, so it runs over the touched realms.
     """
-    hist, idx = world.history, base.index
+    hist, idx, reg = world.history, base.index, world.registry
+    # I7: touched realm ids, and their region ids against the index. It
+    # runs first: the policy diffs below trust a touched realm's registry.
+    fresh = set()
+    for rid in rids:
+        if rid in reg.live and rid in reg.tombstones:
+            return None
+        if (rid in reg.live or rid in reg.tombstones) and \
+                not 1 <= rid < reg.next_id:
+            return None
+        if rid in reg.live:
+            realm = world.realms.get(reg.live[rid])
+            if realm is None or realm.realm_id != rid:
+                return None
+        realm = realms.get(rid)
+        if realm is None or realm.apt is None:
+            continue
+        for e in realm.apt.providers:
+            cid = e.csm_id
+            if cid in fresh or not 1 <= cid < world.next_csm_id or \
+                    idx.regions.get(cid, rid) not in rids:
+                return None
+            fresh.add(cid)
+
     n_acc, n_inv, n_flush = base.lengths
     out = []
     # I3 and I4 over the new rows: the baseline's were clean, and it was
@@ -346,71 +466,104 @@ def _clean_since(world, base: _Baseline, realms: dict, grans: set,
     _check_flushes(out, hist.invalidations[n_inv:], hist.flushes[n_flush:])
     _check_tags(out, [world.granules[index] for index in grans])
 
-    # I5/I6: every mapping of a touched realm, then every other mapping of
-    # a granule that is touched or that a touched realm maps or mapped.
-    pas = set(grans)
+    visit = set(maps)   # (realm id, ipa) of the mappings to check
+    ipas = {}           # realm id -> ipas of its touched mappings
+    for rid, ipa in maps:
+        ipas.setdefault(rid, set()).add(ipa)
+    moved = {}          # realm id -> sharing ids whose first window changed,
+                        # or None when the realm left the registry
+
+    def visit_windows(rid: int, windows, sharing_id=None) -> None:
+        for sid, w_base, size, state in windows:
+            if state is WindowState.ATTACHED and sharing_id in (None, sid):
+                visit.update((rid, ipa) for ipa in ipa_span(w_base, size))
+
+    policy = {}
+    sharings = {}       # id(record) -> (provider, region, record) for I2
+    kept = []           # the same of attached records a step left as they were
     for rid in rids:
-        pas.update(idx.maps.get(rid, {}).values())
         realm = realms.get(rid)
-        if realm is None:
-            continue
-        for ipa, entry in realm.rtt.entries.items():
+        first, attached, windows = policy[rid] = \
+            _policy(realm, rid in reg.live)
+        # (c): nothing to visit when the old list is a prefix of the new.
+        old, k = idx.windows.get(rid, ()), 0
+        while k < min(len(old), len(windows)) and old[k] == windows[k]:
+            k += 1
+        visit_windows(rid, old[k:])
+        if rid not in reg.live:
+            moved[rid] = None
+        elif windows != old:
+            old, new = _first_windows(old), _first_windows(windows)
+            moved[rid] = {sid for sid in old.keys() | new.keys()
+                          if old.get(sid) != new.get(sid)}
+        # (d), and I2 where a record or its region changed.
+        old = idx.records.get(rid, {})
+        for sid, key in old.items():
+            if key[5] and first.get(sid) != key:
+                visit_windows(key[3], idx.windows.get(key[3], ()), sid)
+        for e, s, key in attached:
+            if old.get(s.sharing_id) == key:
+                kept.append((realm, e, s))
+            else:
+                sharings[id(s)] = (realm, e, s)
+
+    # (a) and (b)
+    pas = set(grans)
+    for rid, ipa in maps:
+        old = idx.maps.get(rid, {}).get(ipa)
+        if old is not None:
+            pas.add(old)
+        realm = realms.get(rid)
+        entry = realm.rtt.entries.get(ipa) if realm is not None else None
+        if entry is not None:
             pas.add(entry.pa)
-            _check_mapping(out, world, realm, ipa, entry)
     for pa in pas:
-        for rid, ipa in idx.by_pa.get(pa, ()):
-            if rid in rids:
+        for ref in idx.by_pa.get(pa, ()):
+            if ref in maps:
                 continue
+            rid, ipa = ref
             realm = realms.get(rid)
             entry = realm.rtt.entries.get(ipa) if realm else None
-            # An untouched realm cannot have changed: if it did, a touch
+            # An untouched mapping cannot have changed: if it did, a touch
             # went unlogged, and the reference decides.
             if entry is None or entry.pa != pa:
-                return False
+                return None
+            visit.add(ref)
+    for rid, ipa in visit:
+        realm = realms.get(rid)
+        entry = realm.rtt.entries.get(ipa) if realm is not None else None
+        if entry is not None:
             _check_mapping(out, world, realm, ipa, entry)
 
-    # I2: attached sharings with a touched realm on either side. A touched
-    # consumer's providers come from its windows and, should it be gone,
-    # from the index.
-    providers = set()
-    for rid in rids:
-        providers.add(rid)
-        providers.update(idx.providers.get(rid, ()))
-        realm = realms.get(rid)
-        if realm is not None and realm.apt is not None:
-            providers.update(e.sharing_id[0] for e in realm.apt.consumers)
-    for pid in providers:
-        p_realm = realms.get(pid)
-        if p_realm is None or p_realm.apt is None:
-            continue
-        for p_entry in p_realm.apt.providers:
-            for record in p_entry.shares:
-                if record.attached and (pid in rids or record.c_id in rids):
-                    _check_sharing(out, world, p_realm, p_entry, record)
-    if out:
-        return False
+    # (e)
+    def touches(rid: int, lo: int, size: int) -> bool:
+        got = ipas.get(rid)
+        return got is not None and \
+            any(lo <= ipa < lo + size * GRANULE_SIZE for ipa in got)
 
-    # I7: touched realm ids, and their region ids against the index.
-    reg = world.registry
-    fresh = set()
-    for rid in rids:
-        if rid in reg.live and rid in reg.tombstones:
-            return False
-        if (rid in reg.live or rid in reg.tombstones) and \
-                not 1 <= rid < reg.next_id:
-            return False
-        if rid in reg.live:
-            realm = world.realms.get(reg.live[rid])
-            if realm is None or realm.realm_id != rid:
-                return False
-        realm = realms.get(rid)
-        if realm is None or realm.apt is None:
-            continue
-        for e in realm.apt.providers:
-            cid = e.csm_id
-            if cid in fresh or not 1 <= cid < world.next_csm_id or \
-                    idx.regions.get(cid, rid) not in rids:
-                return False
-            fresh.add(cid)
-    return True
+    def due(p_realm, p_entry, record) -> bool:
+        """Whether I2 over the sharing reads a changed window or mapping."""
+        c_id, sid = record.c_id, record.sharing_id
+        if c_id in moved and (moved[c_id] is None or sid in moved[c_id]):
+            return True
+        if touches(p_realm.realm_id, p_entry.base, p_entry.size):
+            return True
+        c_realm = realms.get(c_id) if c_id in ipas else None
+        w = c_realm.apt.find_by_sharing_id(sid) \
+            if c_realm is not None and c_realm.apt is not None else None
+        return w is not None and touches(c_id, w.base, p_entry.size)
 
+    for p_realm, e, s in kept:
+        if due(p_realm, e, s):
+            sharings[id(s)] = (p_realm, e, s)
+    for rid in ipas.keys() | moved.keys():
+        # Attached sharings at untouched providers are the baseline's, which
+        # the index names by sharing id: those with this realm on either side.
+        sids = {w[0] for w in idx.windows.get(rid, ())}
+        for sid in sids | idx.shared.get(rid, set()):
+            for p_realm, e, s in idx.attached.get(sid, ()):
+                if p_realm.realm_id not in rids and due(p_realm, e, s):
+                    sharings[id(s)] = (p_realm, e, s)
+    for p_realm, p_entry, record in sharings.values():
+        _check_sharing(out, world, p_realm, p_entry, record)
+    return None if out else policy

@@ -154,8 +154,11 @@ class World:
         self.platform_key_seed = digests.digest(b"platform-key", seed.to_bytes(8, "big"))
         self.events: list[dict] = []
         self.history = History()
-        # Ids of realms whose translation table, policy table or share
-        # records changed since the invariant checker last took this set.
+        # What changed since the invariant checker last took these sets:
+        # the (realm id, ipa) of every translation-table entry installed or
+        # removed, and the ids of realms whose policy table, share records
+        # or registry entry changed.
+        self.touched_maps: set = set()
         self.touched_realms: set = set()
         # Test instrumentation: names of monitor checks to skip, used by the
         # explorer's sensitivity (mutant) runs. Empty in normal operation.
@@ -185,6 +188,7 @@ class World:
         new.history = History(list(hist.accesses), list(hist.invalidations),
                               list(hist.flushes))
         new.disabled_checks = set(self.disabled_checks)
+        new.touched_maps = set(self.touched_maps)
         new.touched_realms = set(self.touched_realms)
         return new
 
@@ -263,11 +267,11 @@ class World:
         if ipa in realm.rtt.entries:
             raise AlreadyMapped(f"ipa {ipa:#x} already mapped")
         realm.rtt.entries[ipa] = RttEntry(pa, perm)
-        self.touched_realms.add(realm.realm_id)
+        self.touched_maps.add((realm.realm_id, ipa))
 
     def rtt_remove(self, realm: RealmDescriptor, ipa: int) -> RttEntry:
         entry = realm.rtt.entries.pop(ipa)
-        self.touched_realms.add(realm.realm_id)
+        self.touched_maps.add((realm.realm_id, ipa))
         self.history.invalidations.append((realm.realm_id, ipa))
         self.history.flushes.append((realm.realm_id, ipa))
         self.record({"event": "tlb_flush", "realm": realm.realm_id, "ipa": ipa})

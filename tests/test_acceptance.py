@@ -4,6 +4,7 @@ Run with ``pytest tests/test_acceptance.py -v -s``. Every tolerance is fixed
 here; nothing is calibrated at runtime.
 """
 
+import os
 import random
 import statistics
 import time
@@ -121,30 +122,36 @@ def test_dedup_accounting_exact():
 
 def test_communication_benchmark():
     t0 = time.perf_counter()
-    modes = ("plaintext", "csm", "aead")
-    # Interleave the modes within each size so machine-load drift hits all
-    # of them alike, and take the median over five repetitions per point.
-    samples = {(mode, size): [] for mode in modes for size in BENCH_SIZES}
-    for size in BENCH_SIZES:
-        iters = 1000 if size >= (1 << 20) else 2000
-        for rep in range(5):
-            for mode in modes:
-                samples[(mode, size)].append(bench_run(mode, size, iters,
-                                                       seed=rep))
-    results = {
-        key: (statistics.median(r.median_latency_ns for r in runs),
-              statistics.median(r.cpu_ns_per_msg for r in runs))
-        for key, runs in samples.items()}
+    # csm and plaintext run byte-identical code, so only the host's speed
+    # tells them apart. Each pair runs back to back on one CPU, in
+    # alternating order, and the median of the per-pair ratios is compared,
+    # so drift between pairs and differences between CPUs cancel out.
+    samples = {(mode, size): [] for mode in ("plaintext", "csm", "aead")
+               for size in BENCH_SIZES}
+    cpus = os.sched_getaffinity(0)
+    os.sched_setaffinity(0, {min(cpus)})
+    try:
+        for size in BENCH_SIZES:
+            iters = 1000 if size >= (1 << 20) else 2000
+            for rep in range(5):
+                pair = ("plaintext", "csm") if rep % 2 == 0 else ("csm", "plaintext")
+                for mode in pair + ("aead",):
+                    samples[(mode, size)].append(bench_run(mode, size, iters,
+                                                           seed=rep))
+    finally:
+        os.sched_setaffinity(0, cpus)
     problems = []
     for size in BENCH_SIZES:
-        pt_lat, pt_cpu = results[("plaintext", size)]
-        cs_lat, cs_cpu = results[("csm", size)]
-        for label, a, b in (("latency", cs_lat, pt_lat),
-                            ("cpu", cs_cpu, pt_cpu)):
-            rel = abs(a - b) / b
+        pairs = list(zip(samples[("csm", size)], samples[("plaintext", size)]))
+        for label, field in (("latency", "median_latency_ns"),
+                             ("cpu", "cpu_ns_per_msg")):
+            rel = abs(statistics.median(getattr(cs, field) / getattr(pt, field)
+                                        for cs, pt in pairs) - 1)
             if rel > LATENCY_TOLERANCE:
                 problems.append(f"{label}@{size}: {rel:.0%}")
-    ratio = {size: results[("aead", size)][1] / results[("csm", size)][1]
+    cpu = {key: statistics.median(r.cpu_ns_per_msg for r in runs)
+           for key, runs in samples.items()}
+    ratio = {size: cpu[("aead", size)] / cpu[("csm", size)]
              for size in BENCH_SIZES}
     if not ratio[1 << 20] > ratio[1024]:
         problems.append(f"gap does not widen: 1MiB {ratio[1 << 20]:.2f} "

@@ -3,12 +3,16 @@
 ``check_invariants`` re-verifies only what the monitor logged as touched
 since the last clean check. A clean differential run cannot show a missing
 touch site, because both checkers then return ``[]``, so the log itself is
-tested: every granule and realm a command changes must be in it. The other
-tests hold the two checkers to the same verdicts, on every builtin and on
-corruptions injected while the incremental pass is armed.
+tested: every granule, mapping and realm policy a command changes must be
+in it. The other tests hold the two checkers to the same verdicts, on every
+builtin, on generated traffic and on corruptions injected while the
+incremental pass is armed, and bound the work a step costs.
 """
 
+import importlib.util
+import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -16,14 +20,20 @@ from hypothesis import strategies as st
 
 from conftest import build_realm, rsi
 from csmsim import harness, invariants
-from csmsim.csm import Permission, ProviderEntry
+from csmsim.csm import ConsumerEntry, Permission, ProviderEntry, WindowState
 from csmsim.errors import ParseError
 from csmsim.explorer import enabled_commands
 from csmsim.granules import GranuleState, PasTag
-from csmsim.harness import RunConfig, builtin_scenarios, execute_step, run_scenario
+from csmsim.harness import (
+    RunConfig,
+    builtin_scenarios,
+    execute_step,
+    parse_scenario,
+    run_scenario,
+)
 from csmsim.host import Host, HostPolicy
 from csmsim.invariants import check_all, check_invariants
-from csmsim.rmm import RttEntry
+from csmsim.rmm import RttEntry, World
 from test_clone import CFG, initial_world, rich_world
 
 
@@ -33,20 +43,39 @@ def granule_view(world) -> list:
     return [(g.state, g.pas, g.owner) for g in world.granules.grans]
 
 
-def realm_view(world) -> dict:
-    """Per realm id: what the checker reads of its tables and records."""
+def mapping_view(world) -> dict:
+    """(realm id, ipa) -> (granule, permission) of every mapping."""
+    return {(realm.realm_id, ipa): (e.pa, e.perm)
+            for realm in world.realms.values()
+            for ipa, e in realm.rtt.entries.items()}
+
+
+def policy_view(world) -> dict:
+    """Per realm id: its policy table and share records, as the checker
+    reads them, and its registry entry."""
     out = {}
     for realm in world.realms.values():
-        apt = None
         if realm.apt is not None:
-            apt = ([(e.csm_id, e.base, e.size,
-                     [(s.sharing_id, s.c_id, s.perm, s.attached) for s in e.shares])
-                    for e in realm.apt.providers],
-                   [(e.sharing_id, e.base, e.size, e.state)
-                    for e in realm.apt.consumers])
-        rtt = {ipa: (e.pa, e.perm) for ipa, e in realm.rtt.entries.items()}
-        out[realm.realm_id] = (rtt, apt)
-    return out
+            out[realm.realm_id] = (
+                [(e.csm_id, e.base, e.size,
+                  [(s.sharing_id, s.c_id, s.perm, s.attached) for s in e.shares])
+                 for e in realm.apt.providers],
+                [(e.sharing_id, e.base, e.size, e.state)
+                 for e in realm.apt.consumers])
+    reg = world.registry
+    return {rid: (out.get(rid), reg.live.get(rid), rid in reg.tombstones)
+            for rid in out.keys() | reg.live.keys() | reg.tombstones}
+
+
+def changed(before: dict, after: dict) -> set:
+    return {key for key in before.keys() | after.keys()
+            if before.get(key) != after.get(key)}
+
+
+def clear_touch_log(world) -> None:
+    world.granules.touched.clear()
+    world.touched_maps.clear()
+    world.touched_realms.clear()
 
 
 def host_commands(world) -> list:
@@ -82,34 +111,50 @@ def ready_world():
 @given(data=st.data())
 def test_touch_log_names_everything_a_command_changes(make_world, data):
     world = make_world()
-    world.granules.touched, world.touched_realms = set(), set()
+    clear_touch_log(world)
     for _ in range(data.draw(st.integers(1, 10), label="steps")):
         commands = [c[1:] for c in enabled_commands(world, CFG)]
         commands += host_commands(world)
         if not commands:
             break
         actor, op, args = data.draw(st.sampled_from(commands), label="command")
-        grans, realms = granule_view(world), realm_view(world)
+        grans, maps = granule_view(world), mapping_view(world)
+        policy = policy_view(world)
         execute_step(world, Host(HostPolicy.COOPERATIVE), actor, op, args)
-        changed = {i for i, (a, b) in enumerate(zip(grans, granule_view(world)))
-                   if a != b}
-        assert changed <= world.granules.touched, (op, args)
-        after = realm_view(world)
-        changed = {rid for rid in realms.keys() | after.keys()
-                   if realms.get(rid) != after.get(rid)}
-        assert changed <= world.touched_realms, (op, args)
-        world.granules.touched, world.touched_realms = set(), set()
+        assert {i for i, (a, b) in enumerate(zip(grans, granule_view(world)))
+                if a != b} <= world.granules.touched, (op, args)
+        assert changed(maps, mapping_view(world)) <= world.touched_maps, (op, args)
+        assert changed(policy, policy_view(world)) <= world.touched_realms, \
+            (op, args)
+        clear_touch_log(world)
+
+
+def test_a_host_populate_touches_one_mapping_and_no_realm(world, coop):
+    world.granule_delegate(0)
+    rid = world.rmi_realm_create(0)
+    world.granule_delegate(1)
+    world.rmi_rtt_create(0, 1, 0)
+    world.granule_delegate(2)
+    clear_touch_log(world)
+    execute_step(world, coop, "host", "rmi_data_create",
+                 {"rd": 0, "granule": 2, "ipa": 0x3000, "content": "00"})
+    assert world.touched_maps == {(rid, 0x3000)}
+    assert world.touched_realms == set()
+    assert world.granules.touched == {2}
 
 
 def test_clone_copies_the_touch_log():
     world = rich_world()
-    assert world.granules.touched and world.touched_realms
+    assert world.granules.touched and world.touched_maps and world.touched_realms
     clone = world.clone()
     assert clone.granules.touched == world.granules.touched
+    assert clone.touched_maps == world.touched_maps
     assert clone.touched_realms == world.touched_realms
     clone.granules.touched.add(-1)
+    clone.touched_maps.add(-1)
     clone.touched_realms.add(-1)
-    assert -1 not in world.granules.touched | world.touched_realms
+    assert -1 not in world.granules.touched | world.touched_maps | \
+        world.touched_realms
 
 
 # ---------------------------------------------------------- differential
@@ -168,7 +213,7 @@ def foreign_mapping(world, coop):
 
     def corrupt():
         world.realm_by_id(c).rtt.entries[0x5000] = RttEntry(8, Permission.READ_WRITE)
-        world.touched_realms.add(c)
+        world.touched_maps.add((c, 0x5000))
     return corrupt
 
 
@@ -177,9 +222,11 @@ def single_foreign_mapping(world, coop):
     c = build_realm(world, 16)
 
     def corrupt():
-        world.realm_by_id(p).rtt.entries.clear()
+        entries = world.realm_by_id(p).rtt.entries
+        world.touched_maps.update((p, ipa) for ipa in entries)
+        entries.clear()
         world.realm_by_id(c).rtt.entries[0x5000] = RttEntry(8, Permission.READ_ONLY)
-        world.touched_realms.update((p, c))
+        world.touched_maps.add((c, 0x5000))
     return corrupt
 
 
@@ -199,7 +246,7 @@ def view_divergence(world, coop):
     def corrupt():
         entries = world.realm_by_id(c).rtt.entries
         entries[0x5000] = RttEntry(entries[0x6000].pa, entries[0x5000].perm)
-        world.touched_realms.add(c)
+        world.touched_maps.add((c, 0x5000))
     return corrupt
 
 
@@ -209,7 +256,7 @@ def window_permission(world, coop):
 
     def corrupt():
         world.realm_by_id(c).rtt.entries[0x5000].perm = Permission.READ_WRITE
-        world.touched_realms.add(c)
+        world.touched_maps.add((c, 0x5000))
     return corrupt
 
 
@@ -219,6 +266,123 @@ def share_permission(world, coop):
     def corrupt():
         world.realm_by_id(p).apt.providers[0].shares[0].perm = Permission.READ_WRITE
         world.touched_realms.add(p)
+    return corrupt
+
+
+# Each of the next seven edits a policy table alone and leaves the consumer's
+# mappings in place, so the pass must find them from the policy touch.
+
+def record_dropped(world, coop):
+    p, _ = attached_sharing(world, coop, "ro")
+
+    def corrupt():
+        world.realm_by_id(p).apt.providers[0].shares.clear()
+        world.touched_realms.add(p)
+    return corrupt
+
+
+def region_dropped(world, coop):
+    p, _ = attached_sharing(world, coop, "ro")
+
+    def corrupt():
+        world.realm_by_id(p).apt.providers.clear()
+        world.touched_realms.add(p)
+    return corrupt
+
+
+def record_detached(world, coop):
+    p, _ = attached_sharing(world, coop, "ro")
+
+    def corrupt():
+        world.realm_by_id(p).apt.providers[0].shares[0].attached = False
+        world.touched_realms.add(p)
+    return corrupt
+
+
+def window_reserved(world, coop):
+    _, c = attached_sharing(world, coop, "ro")
+
+    def corrupt():
+        world.realm_by_id(c).apt.consumers[0].state = WindowState.RESERVED
+        world.touched_realms.add(c)
+    return corrupt
+
+
+def window_removed(world, coop):
+    _, c = attached_sharing(world, coop, "ro")
+
+    def corrupt():
+        world.realm_by_id(c).apt.consumers.clear()
+        world.touched_realms.add(c)
+    return corrupt
+
+
+def window_shadowed(world, coop):
+    """Only the consent of the first window page fails: a reserved window
+    put ahead of the attached one covers it, while I2 still reads the
+    attached window by its sharing id."""
+    p, c = attached_sharing(world, coop, "ro")
+
+    def corrupt():
+        world.realm_by_id(c).apt.consumers.insert(
+            0, ConsumerEntry(sharing_id=(p, c, 9), base=0x5000, size=1))
+        world.touched_realms.add(c)
+    return corrupt
+
+
+def window_duplicated(world, coop):
+    """Only I2 sees it: a copy of the attached window at another base, put
+    first, is what I2 reads by the sharing id, while the mappings stay
+    covered by the original."""
+    _, c = attached_sharing(world, coop, "ro")
+
+    def corrupt():
+        consumers = world.realm_by_id(c).apt.consumers
+        w = consumers[0]
+        consumers.insert(0, ConsumerEntry(w.sharing_id, 0x8000, w.size, w.state))
+        world.touched_realms.add(c)
+    return corrupt
+
+
+def provider_remap(world, coop):
+    """Only I2 sees it: the provider maps a new granule at its region's
+    first page, and the consumer keeps the old one, which now counts as its
+    own, so its mapping is consented."""
+    p, c = attached_sharing(world, coop, "rw")
+
+    def corrupt():
+        entries = world.realm_by_id(p).rtt.entries
+        old = entries[0x2000].pa
+        new = coop.alloc_granule(world)
+        world.granule_delegate(new)
+        world.granules.retag(new, GranuleState.DATA, p)
+        entries[0x2000] = RttEntry(new, Permission.READ_WRITE)
+        world.touched_maps.add((p, 0x2000))
+        world.granules[old].owner = c
+        world.granules.touched.add(old)
+    return corrupt
+
+
+def remap_behind_a_second_window(world, coop):
+    """Only the mappings of the old granule see it: the provider and the
+    consumer's first window move to a new granule together, so I2 holds,
+    while a second window of the same sharing keeps the old one."""
+    p, c = attached_sharing(world, coop, "rw")
+    c_realm = world.realm_by_id(c)
+    first = c_realm.apt.consumers[0]
+    c_realm.apt.consumers.append(ConsumerEntry(
+        first.sharing_id, 0x8000, first.size, WindowState.ATTACHED))
+    for k in range(first.size):
+        entry = c_realm.rtt.entries[first.base + k * 0x1000]
+        c_realm.rtt.entries[0x8000 + k * 0x1000] = RttEntry(entry.pa, entry.perm)
+
+    def corrupt():
+        new = coop.alloc_granule(world)
+        world.granule_delegate(new)
+        world.granules.retag(new, GranuleState.DATA, p)
+        world.realm_by_id(p).rtt.entries[0x2000].pa = new
+        c_realm.rtt.entries[0x5000].pa = new
+        world.touched_maps.update(((p, 0x2000), (c, 0x5000)))
     return corrupt
 
 
@@ -239,7 +403,7 @@ def missing_flush(world, coop):
     def corrupt():
         del world.realm_by_id(rid).rtt.entries[0x0000]
         world.history.invalidations.append((rid, 0x0000))
-        world.touched_realms.add(rid)
+        world.touched_maps.add((rid, 0x0000))
     return corrupt
 
 
@@ -256,7 +420,7 @@ def wrong_backing(world, coop):
 
     def corrupt():
         world.realm_by_id(rid).rtt.entries[0x7000] = RttEntry(30, Permission.READ_WRITE)
-        world.touched_realms.add(rid)
+        world.touched_maps.add((rid, 0x7000))
     return corrupt
 
 
@@ -289,11 +453,16 @@ def registry_inconsistency(world, coop):
     return corrupt
 
 
-@pytest.mark.parametrize("setup", [
+CORRUPTIONS = [
     foreign_mapping, single_foreign_mapping, view_divergence, window_permission,
-    share_permission, released_while_mapped, missing_flush, illegal_access,
-    wrong_backing, wrong_tag, duplicate_region_id, registry_inconsistency],
-    ids=lambda f: f.__name__)
+    share_permission, record_dropped, region_dropped, record_detached,
+    window_reserved, window_removed, window_shadowed, window_duplicated,
+    provider_remap, remap_behind_a_second_window, released_while_mapped,
+    missing_flush, illegal_access, wrong_backing, wrong_tag,
+    duplicate_region_id, registry_inconsistency]
+
+
+@pytest.mark.parametrize("setup", CORRUPTIONS, ids=lambda f: f.__name__)
 def test_incremental_pass_catches_touched_corruption(setup, world, coop,
                                                       reference_calls):
     corrupt = setup(world, coop)
@@ -301,6 +470,20 @@ def test_incremental_pass_catches_touched_corruption(setup, world, coop,
     corrupt()
     got = check_invariants(world)
     assert len(reference_calls) == 1   # the pass found it and asked the reference
+    assert got == check_all(world) != []
+
+
+@pytest.mark.parametrize("setup", CORRUPTIONS, ids=lambda f: f.__name__)
+def test_incremental_pass_catches_corruption_under_a_wider_log(
+        setup, world, coop, reference_calls):
+    """A log may name more realms than changed; the pass must then find
+    the same."""
+    corrupt = setup(world, coop)
+    arm(world, reference_calls)
+    corrupt()
+    world.touched_realms.update(r.realm_id for r in world.realms.values())
+    got = check_invariants(world)
+    assert len(reference_calls) == 1
     assert got == check_all(world) != []
 
 
@@ -330,7 +513,8 @@ def test_a_step_that_touches_nothing_is_not_checked(world, coop, reference_calls
     monkeypatch.setattr(invariants, "_clean_since", refuse)
     monkeypatch.setattr(invariants, "check_all", refuse)
     execute_step(world, coop, "host", "rmi_rtt_read_entry", {"rd": 0, "ipa": 0})
-    assert not world.granules.touched and not world.touched_realms
+    assert not world.granules.touched and not world.touched_maps
+    assert not world.touched_realms
     assert check_invariants(world) == []
     assert invariants._baseline.world() is world
 
@@ -349,9 +533,77 @@ def test_a_step_that_only_adds_history_rows_is_checked(world, coop,
     monkeypatch.setattr(invariants, "_clean_since", counted)
     execute_step(world, coop, f"realm:{rid}", "realm_access",
                  {"ipa": 0, "kind": "read", "length": 1})
-    assert not world.granules.touched and not world.touched_realms
+    assert not world.granules.touched and not world.touched_maps
+    assert not world.touched_realms
     assert check_invariants(world) == []
     assert len(passes) == 1 and reference_calls == []
+
+
+def populate_work(pages: int, sharings: int, monkeypatch) -> Counter:
+    """The rule calls of the check after one host populate into a realm
+    that holds ``pages`` image pages and provides ``sharings`` attached
+    one-page regions."""
+    world = World(granule_count=1024, seed=0)
+    coop = Host(HostPolicy.COOPERATIVE)
+    p = build_realm(world, 0, width=24,
+                    image=[(8 + k, k * 0x1000, b"x") for k in range(pages)])
+    c = build_realm(world, 300, width=24)
+    for k in range(sharings):
+        csm = rsi(world, coop, p, "rsi_csm_create", base=0x100000 + k * 0x1000,
+                  size=1)
+        sid = rsi(world, coop, p, "rsi_csm_share", csm=csm, c_id=c, perm="ro")
+        rsi(world, coop, c, "rsi_csm_reserve", sharing=sid,
+            base=0x10000 + k * 0x1000, size=1)
+        rsi(world, coop, c, "rsi_csm_attach", sharing=sid)
+    assert check_invariants(world) == []
+    assert check_invariants(world) == []   # builds the indexes
+    calls = Counter()
+    for name in ("_check_mapping", "_check_sharing", "check_all"):
+        rule = getattr(invariants, name)
+
+        def counted(*args, rule=rule, name=name):
+            calls[name] += 1
+            return rule(*args)
+        monkeypatch.setattr(invariants, name, counted)
+    granule = coop.alloc_granule(world)
+    execute_step(world, coop, "host", "granule_delegate", {"granule": granule})
+    execute_step(world, coop, "host", "rmi_data_create_unknown",
+                 {"rd": 0, "granule": granule, "ipa": 0x180000})
+    assert check_invariants(world) == []
+    monkeypatch.undo()
+    return calls
+
+
+def test_a_populate_checks_the_same_work_whatever_the_realm_holds(monkeypatch):
+    """One new private page: the pass visits that mapping, whatever else
+    the realm maps or shares."""
+    counts = [populate_work(pages, sharings, monkeypatch)
+              for pages in (4, 256) for sharings in (1, 8)]
+    assert counts[0] == Counter({"_check_mapping": 1})
+    assert all(c == counts[0] for c in counts), counts
+
+
+def load_generator():
+    """``perfbench``'s seeded traffic generator, loaded from its file under
+    the name ``perfbench``'s own tests import it by."""
+    if "scenario_gen" not in sys.modules:
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "scenario_gen.py"
+        spec = importlib.util.spec_from_file_location("scenario_gen", path)
+        sys.modules["scenario_gen"] = module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    return sys.modules["scenario_gen"]
+
+
+@pytest.mark.parametrize("seed", range(1, 6))
+def test_generated_traffic_verdicts_match_the_reference(seed, both_checkers):
+    """The control-plane churn of the ``monitor-churn`` benchmark, small."""
+    doc, _ = load_generator().generate(seed, 400, granules=512, realms=8)
+    scenario = parse_scenario(doc, name=doc["name"])
+    trace, code = run_scenario(scenario)
+    assert code == 0
+    assert len(both_checkers) == len(scenario.steps) == len(trace) - 1
+    for got, want in both_checkers:
+        assert got == want == []
 
 
 @pytest.mark.parametrize("invalidations, flushes", [
