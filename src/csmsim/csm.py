@@ -243,7 +243,7 @@ def rsi_csm_share(world, caller: int, csm_id: int, c_id: int, perm) -> tuple:
             raise AlreadyShared(f"region {csm_id} already shared to realm {c_id}")
     sharing_id = compose_sharing_id(caller, c_id, realm.apt.next_counter(c_id))
     entry.shares.append(ShareRecord(sharing_id=sharing_id, c_id=c_id, perm=perm))
-    world.touched_realms.add(caller)
+    world.touched_sharings.add((caller, sharing_id))
     return sharing_id
 
 
@@ -265,7 +265,7 @@ def rsi_csm_reserve(world, caller: int, sharing_id: tuple, base: int,
         raise BadState(f"[{base:#x}, +{size}) outside protected half")
     apt.check_can_add(base, size)
     apt.consumers.append(ConsumerEntry(sharing_id=sharing_id, base=base, size=size))
-    world.touched_realms.add(caller)
+    world.touched_sharings.add((caller, sharing_id))
     return world.suspend(realm, PendingRsi("csm_reserve", base, size,
                                            sharing_id=sharing_id))
 
@@ -301,7 +301,8 @@ def rsi_csm_attach(world, caller: int, sharing_id: tuple) -> None:
         world.rtt_install(realm, c_ipa, pa, record.perm)
     c_entry.state = WindowState.ATTACHED
     record.attached = True
-    world.touched_realms.update((caller, p_realm.realm_id))
+    world.touched_sharings.update(((caller, sharing_id),
+                                   (p_realm.realm_id, sharing_id)))
 
 
 def _tear_down_window(world, c_realm, c_entry) -> None:
@@ -311,7 +312,7 @@ def _tear_down_window(world, c_realm, c_entry) -> None:
             if ipa in c_realm.rtt.entries:
                 world.rtt_remove(c_realm, ipa)
     c_realm.apt.consumers.remove(c_entry)
-    world.touched_realms.add(c_realm.realm_id)
+    world.touched_sharings.add((c_realm.realm_id, c_entry.sharing_id))
     world.emit_exit(EXIT_REMOVE_CSM, c_realm.realm_id, c_entry.base, c_entry.size)
 
 
@@ -324,7 +325,7 @@ def revoke_share(world, p_entry: ProviderEntry, record: ShareRecord) -> None:
             if c_entry is not None:
                 _tear_down_window(world, c_realm, c_entry)
     p_entry.shares.remove(record)
-    world.touched_realms.add(record.sharing_id[0])
+    world.touched_sharings.add((record.sharing_id[0], record.sharing_id))
 
 
 def rsi_csm_revoke(world, caller: int, sharing_id: tuple) -> None:
@@ -361,7 +362,7 @@ def detach_window(world, c_realm, c_entry: ConsumerEntry) -> None:
     _tear_down_window(world, c_realm, c_entry)
     if record is not None:
         record.attached = False
-        world.touched_realms.add(record.sharing_id[0])
+        world.touched_sharings.add((record.sharing_id[0], record.sharing_id))
 
 
 def rsi_csm_detach_and_free(world, caller: int, sharing_id: tuple) -> None:

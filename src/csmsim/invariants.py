@@ -24,18 +24,20 @@ reads raw state alone. ``check_invariants``, the one callers use, visits
 only what changed since the last clean check of the same world. The
 monitor logs what each command touches: granule indices in
 ``GranuleSpace.touched``, the (realm id, ipa) of each translation-table
-entry installed or removed in ``World.touched_maps``, and the ids of
-realms whose policy table, share records or registry entry changed in
-``World.touched_realms``. The incremental pass visits the new ``History``
-rows, the touched granules and mappings, and the mappings and sharings
-whose verdict reads what changed, found through indexes it builds from
-raw state and keeps up to date. An own mapping (its granule's owner is
-its realm) never reads a policy table, so a policy edit reaches only the
-foreign mappings its windows and records vouched for; a table edit
-reaches the mappings of the granules it moved. ``_clean_since`` gives the
-whole argument; I1 and I7 have no per-item form, and it covers them too.
-A check with nothing touched and no new row has nothing to visit and
-returns at once.
+entry installed or removed in ``World.touched_maps``, the (realm id,
+sharing id) of each share record or window added, removed or changed in
+``World.touched_sharings``, and the ids of realms whose registry entry,
+policy table or region ids changed in ``World.touched_realms``. The
+incremental pass visits the new ``History`` rows, the touched granules and
+mappings, the other mappings of the granules they name, and what a touched
+sharing reaches: the mappings in its windows before and after the edit,
+and I2 over its attached records. An own mapping (its granule's owner is
+its realm) never reads a policy table, and a foreign one reads only the
+window covering it and the first record of that window's sharing id, so a
+policy edit reaches only the mappings in the edited sharing's windows.
+``_clean_since`` gives the whole argument; I1 and I7 have no per-item
+form, and it covers them too. A check with nothing touched and no new row
+has nothing to visit and returns at once.
 
 The reference runs instead on the first and second check of a world (the
 second one also builds the indexes), whenever the world has disabled
@@ -142,6 +144,11 @@ def check_all(world) -> list[dict]:
         realm = world.realms.get(rd)
         if realm is None or realm.realm_id != rid:
             out.append(_violation("I7", f"registry entry {rid} inconsistent"))
+    for rd, realm in world.realms.items():
+        if live.get(realm.realm_id) != rd:
+            out.append(_violation(
+                "I7", f"descriptor at granule {rd} names realm "
+                      f"{realm.realm_id}, which is not live there"))
     csm_ids = [e.csm_id for realm in realms if realm.apt
                for e in realm.apt.providers]
     if len(csm_ids) != len(set(csm_ids)):
@@ -241,28 +248,30 @@ def _check_tags(out: list, grans) -> None:
 class _Index:
     """What the incremental pass must know of the last clean state, built
     from raw state and updated after each clean pass: per touched mapping
-    for the mapping tables, per touched realm for the policy tables."""
+    for the mapping tables, per touched sharing for the windows and per
+    touched realm for the region ids."""
 
     def __init__(self, world):
         self.realms = {r.realm_id: r for r in world.realms.values()}
         self.maps = {}       # realm id -> {ipa: pa}
         self.by_pa = {}      # pa -> {(realm id, ipa)} mapping it
         self.regions = {}    # region id -> provider realm id
-        self.owned = {}      # realm id -> its region ids
-        self.records = {}    # realm id -> first record keys, as _policy
-        self.windows = {}    # realm id -> windows, as _policy
-        self.attached = {}   # sharing id -> [(provider, region, record)]
-        self.shared = {}     # realm id -> sharing ids of its attached records
+        self.windows = {}    # sharing id -> [(realm id, base, size)] attached
         for rid, realm in self.realms.items():
             maps = self.maps[rid] = {}
             for ipa, entry in realm.rtt.entries.items():
                 maps[ipa] = entry.pa
                 self.by_pa.setdefault(entry.pa, set()).add((rid, ipa))
-            self._add_policy(realm, _policy(realm, rid in world.registry.live))
+            for e in realm.apt.providers if realm.apt else ():
+                self.regions[e.csm_id] = rid
+            for w in realm.apt.consumers if realm.apt else ():
+                if w.state is WindowState.ATTACHED:
+                    self.windows.setdefault(w.sharing_id, []).append(
+                        (rid, w.base, w.size))
 
-    def update(self, realms: dict, maps: set, policy: dict) -> None:
-        """Take in a clean pass over ``realms``: the touched mappings, and
-        the ``_policy`` it computed of each touched realm."""
+    def update(self, realms: dict, maps: set, rids: set, windows: dict) -> None:
+        """Take in a clean pass over ``realms``: the touched mappings and
+        realms, and the attached window spans of each touched sharing."""
         self.realms = realms
         for rid, ipa in maps:
             own = self.maps.setdefault(rid, {})
@@ -274,65 +283,20 @@ class _Index:
             if entry is not None:
                 own[ipa] = entry.pa
                 self.by_pa.setdefault(entry.pa, set()).add((rid, ipa))
-        for rid, scan in policy.items():
-            self._drop_policy(rid)
+        for (rid, sid), spans in windows.items():
+            spans += [w for w in self.windows.pop(sid, ()) if w[0] != rid]
+            if spans:
+                self.windows[sid] = spans
+        if rids:
+            self.regions = {cid: rid for cid, rid in self.regions.items()
+                            if rid not in rids}
+        for rid in rids:
             realm = realms.get(rid)
-            if realm is not None:
-                self._add_policy(realm, scan)
-            else:
+            if realm is None:
                 for ipa, pa in self.maps.pop(rid, {}).items():
                     self.by_pa[pa].discard((rid, ipa))
-
-    def _drop_policy(self, rid: int) -> None:
-        for cid in self.owned.pop(rid, ()):
-            del self.regions[cid]
-        for sid in self.shared.pop(rid, ()):
-            refs = [r for r in self.attached[sid] if r[0].realm_id != rid]
-            if refs:
-                self.attached[sid] = refs
-            else:
-                del self.attached[sid]
-        self.records.pop(rid, None)
-        self.windows.pop(rid, None)
-
-    def _add_policy(self, realm, scan: tuple) -> None:
-        rid = realm.realm_id
-        self.owned[rid] = [e.csm_id for e in realm.apt.providers] \
-            if realm.apt else []
-        self.regions.update(dict.fromkeys(self.owned[rid], rid))
-        self.records[rid], attached, self.windows[rid] = scan
-        for e, s, _ in attached:
-            self.attached.setdefault(s.sharing_id, []).append((realm, e, s))
-        self.shared[rid] = {s.sharing_id for _, s, _ in attached}
-
-
-def _policy(realm, live: bool) -> tuple:
-    """What the pass compares of a realm's policy table: the key of the
-    first record of each sharing id, in the order ``find_share`` searches a
-    live provider (none when the realm is not live); (region, record, key)
-    of every attached record; and the windows in table order, each as
-    (sharing id, base, size, state). A record's key is what a mapping's
-    consent reads of it and its region."""
-    first, attached = {}, []
-    if realm is None or realm.apt is None:
-        return first, attached, ()
-    for e in realm.apt.providers:
-        for s in e.shares:
-            key = (e.csm_id, e.base, e.size, s.c_id, s.perm, s.attached)
-            first.setdefault(s.sharing_id, key)
-            if s.attached:
-                attached.append((e, s, key))
-    windows = tuple((w.sharing_id, w.base, w.size, w.state)
-                    for w in realm.apt.consumers)
-    return first if live else {}, attached, windows
-
-
-def _first_windows(windows: tuple) -> dict:
-    """Sharing id -> its first window, as ``find_by_sharing_id`` finds it."""
-    out = {}
-    for w in windows:
-        out.setdefault(w[0], w)
-    return out
+            for e in realm.apt.providers if realm and realm.apt else ():
+                self.regions[e.csm_id] = rid
 
 
 class _Baseline:
@@ -365,7 +329,8 @@ def check_invariants(world) -> list[dict]:
     same = base is not None and base.world() is world
     armed = same and base.index is not None and not world.disabled_checks
     if armed and lengths == base.lengths and not world.granules.touched \
-            and not world.touched_maps and not world.touched_realms:
+            and not world.touched_maps and not world.touched_sharings \
+            and not world.touched_realms:
         # Nothing changed since the clean check: what ``_clean_since``
         # finds over empty inputs.
         _baseline = base
@@ -373,19 +338,21 @@ def check_invariants(world) -> list[dict]:
     if armed and all(n >= m for n, m in zip(lengths, base.lengths)):
         grans, world.granules.touched = world.granules.touched, set()
         maps, world.touched_maps = world.touched_maps, set()
+        sids, world.touched_sharings = world.touched_sharings, set()
         rids, world.touched_realms = world.touched_realms, set()
         # Only a logged registry edit adds or drops a realm.
         realms = base.index.realms if not rids else \
             {r.realm_id: r for r in world.realms.values()}
-        policy = _clean_since(world, base, realms, grans, maps, rids)
-        if policy is not None:
+        windows = _clean_since(world, base, realms, grans, maps, sids, rids)
+        if windows is not None:
             base.lengths = lengths
-            base.index.update(realms, maps, policy)
+            base.index.update(realms, maps, rids, windows)
             _baseline = base
             return []
     # The reference reads everything, so the touch log starts afresh.
     world.granules.touched.clear()
     world.touched_maps.clear()
+    world.touched_sharings.clear()
     world.touched_realms.clear()
     out = check_all(world)
     if not out and not world.disabled_checks:
@@ -394,49 +361,57 @@ def check_invariants(world) -> list[dict]:
 
 
 def _clean_since(world, base: _Baseline, realms: dict, grans: set,
-                 maps: set, rids: set) -> dict | None:
-    """The ``_policy`` of each touched realm if the items changed since
-    ``base`` still satisfy I1-I7, else None.
+                 maps: set, sids: set, rids: set) -> dict | None:
+    """The attached windows of each touched (realm id, sharing id), for the
+    index, if the items changed since ``base`` still satisfy I1-I7, else
+    None.
 
     The baseline was clean, so only an item whose verdict reads something
-    that changed can have turned bad. A mapping's verdict (I5/I6) reads its
-    entry, its granule and its realm's ``ipa_width``, which never changes.
-    An own mapping (its granule's owner is its realm) reads nothing more:
-    never the policy tables. A foreign mapping was clean only because the
-    first window of its realm covering it was attached and the first
-    provider record of that window's sharing id was attached, named the
-    realm, and lay in a region whose provider mapped the same granule at
-    the same offset. So the pass visits these mappings:
+    that changed can have turned bad. The argument rests on rules the
+    monitor keeps: a share record lives at the provider its sharing id
+    names (``sid[0]``) and a window at the consumer it names (``sid[1]``);
+    policy-table entries are appended and removed, never reordered; and a
+    realm leaves the registry only after its windows and records are gone,
+    each a logged sharing edit.
+
+    A mapping's verdict (I5/I6) reads its entry, its granule and its realm's
+    ``ipa_width``, which never changes. An own mapping (its granule's owner
+    is its realm) reads nothing more: never the policy tables. A foreign
+    mapping was clean only through the first window of its realm covering
+    it, attached, and the first record of that window's sharing id at
+    ``sid[0]``, attached, naming the realm, in a region whose provider maps
+    the same granule at the same offset. So besides a touched mapping or
+    granule, only a logged edit of that sharing id, whose baseline attached
+    windows hold the mapping, or of a window of another id that now covers
+    it, can change its verdict. The pass visits these mappings:
 
     (a) every touched mapping;
     (b) every other mapping of a touched granule, or of a touched mapping's
         old or new granule (a provider remapping its region's page changes
         the old granule's consumers);
-    (c) in a touched realm whose window list changed other than by appends
-        at its end, every mapping in its baseline attached windows from the
-        first changed position on (a window earlier in the list still comes
-        first where it did);
-    (d) for each sharing id whose first record at a touched provider
-        changed from an attached one, every mapping in the baseline attached
-        windows of that sharing id at the record's consumer.
+    (c) for each touched (rid, sid), the mappings in the baseline's
+        attached windows of sid (the index keeps them by sharing id) and in
+        rid's current windows of sid.
 
-    (e) I2 over a sharing reads its record and region, the consumer's first
+    I2 over a sharing reads its record and region, the consumer's first
     window of its sharing id, the consumer's registry entry and both
-    realms' mappings over the region and window. It runs for each attached
-    sharing whose record, at a touched provider, differs from the
-    baseline's first record of its sharing id (a second record equal to the
-    first reads the same), whose consumer changed that window or left the
-    registry, or that holds a touched mapping in its region or window.
+    realms' mappings over them. It runs over the attached records (d) of
+    sid held by rid and by ``sid[0]``, for each touched (rid, sid), and (e)
+    of the region, or of the sharing id of the attached window, that covers
+    a touched mapping.
 
     I1 has no pass of its own: a protected mapping that I1 flags maps a
     granule its realm does not own without covering records, which I5
     flags too unless I6 already did. So when I5 and I6 find nothing over
     all protected mappings, I1 finds nothing either. I7 reads only the
-    registry and the region ids, so it runs over the touched realms.
+    registry, the descriptors and the region ids, so it runs over the
+    touched realms.
     """
     hist, idx, reg = world.history, base.index, world.registry
-    # I7: touched realm ids, and their region ids against the index. It
-    # runs first: the policy diffs below trust a touched realm's registry.
+    # I7: each touched realm id's descriptor is the one its live entry
+    # names, and no other descriptor holds the id; its region ids are fresh.
+    if len(realms) != len(world.realms):
+        return None
     fresh = set()
     for rid in rids:
         if rid in reg.live and rid in reg.tombstones:
@@ -444,11 +419,9 @@ def _clean_since(world, base: _Baseline, realms: dict, grans: set,
         if (rid in reg.live or rid in reg.tombstones) and \
                 not 1 <= rid < reg.next_id:
             return None
-        if rid in reg.live:
-            realm = world.realms.get(reg.live[rid])
-            if realm is None or realm.realm_id != rid:
-                return None
-        realm = realms.get(rid)
+        realm, live = realms.get(rid), world.realms.get(reg.live.get(rid))
+        if realm is not live or (realm is None and rid in reg.live):
+            return None
         if realm is None or realm.apt is None:
             continue
         for e in realm.apt.providers:
@@ -467,56 +440,50 @@ def _clean_since(world, base: _Baseline, realms: dict, grans: set,
     _check_tags(out, [world.granules[index] for index in grans])
 
     visit = set(maps)   # (realm id, ipa) of the mappings to check
-    ipas = {}           # realm id -> ipas of its touched mappings
-    for rid, ipa in maps:
-        ipas.setdefault(rid, set()).add(ipa)
-    moved = {}          # realm id -> sharing ids whose first window changed,
-                        # or None when the realm left the registry
-
-    def visit_windows(rid: int, windows, sharing_id=None) -> None:
-        for sid, w_base, size, state in windows:
-            if state is WindowState.ATTACHED and sharing_id in (None, sid):
-                visit.update((rid, ipa) for ipa in ipa_span(w_base, size))
-
-    policy = {}
     sharings = {}       # id(record) -> (provider, region, record) for I2
-    kept = []           # the same of attached records a step left as they were
-    for rid in rids:
-        realm = realms.get(rid)
-        first, attached, windows = policy[rid] = \
-            _policy(realm, rid in reg.live)
-        # (c): nothing to visit when the old list is a prefix of the new.
-        old, k = idx.windows.get(rid, ()), 0
-        while k < min(len(old), len(windows)) and old[k] == windows[k]:
-            k += 1
-        visit_windows(rid, old[k:])
-        if rid not in reg.live:
-            moved[rid] = None
-        elif windows != old:
-            old, new = _first_windows(old), _first_windows(windows)
-            moved[rid] = {sid for sid in old.keys() | new.keys()
-                          if old.get(sid) != new.get(sid)}
-        # (d), and I2 where a record or its region changed.
-        old = idx.records.get(rid, {})
-        for sid, key in old.items():
-            if key[5] and first.get(sid) != key:
-                visit_windows(key[3], idx.windows.get(key[3], ()), sid)
-        for e, s, key in attached:
-            if old.get(s.sharing_id) == key:
-                kept.append((realm, e, s))
-            else:
-                sharings[id(s)] = (realm, e, s)
+    windows = {}        # (realm id, sharing id) -> its attached windows
 
-    # (a) and (b)
+    def records(rid: int, sid: tuple) -> None:
+        realm = realms.get(rid)
+        for e in realm.apt.providers if realm and realm.apt else ():
+            for s in e.shares:
+                if s.attached and s.sharing_id == sid:
+                    sharings[id(s)] = (realm, e, s)
+
+    # (c) and (d)
+    for rid, sid in sids:
+        for holder, w_base, size in idx.windows.get(sid, ()):
+            visit.update((holder, ipa) for ipa in ipa_span(w_base, size))
+        realm = realms.get(rid)
+        spans = windows[rid, sid] = []
+        for w in realm.apt.consumers if realm and realm.apt else ():
+            if w.sharing_id == sid:
+                visit.update((rid, ipa) for ipa in ipa_span(w.base, w.size))
+                if w.state is WindowState.ATTACHED:
+                    spans.append((rid, w.base, w.size))
+        for holder in {rid, sid[0]}:
+            records(holder, sid)
+
+    # (a), (b) and (e)
     pas = set(grans)
     for rid, ipa in maps:
         old = idx.maps.get(rid, {}).get(ipa)
         if old is not None:
             pas.add(old)
         realm = realms.get(rid)
-        entry = realm.rtt.entries.get(ipa) if realm is not None else None
+        if realm is None:
+            continue
+        entry = realm.rtt.entries.get(ipa)
         if entry is not None:
             pas.add(entry.pa)
+        for e in realm.apt.providers if realm.apt else ():
+            if e.base <= ipa < e.base + e.size * GRANULE_SIZE:
+                sharings.update((id(s), (realm, e, s))
+                                for s in e.shares if s.attached)
+        for w in realm.apt.consumers if realm.apt else ():
+            if w.state is WindowState.ATTACHED and \
+                    w.base <= ipa < w.base + w.size * GRANULE_SIZE:
+                records(w.sharing_id[0], w.sharing_id)
     for pa in pas:
         for ref in idx.by_pa.get(pa, ()):
             if ref in maps:
@@ -534,36 +501,6 @@ def _clean_since(world, base: _Baseline, realms: dict, grans: set,
         entry = realm.rtt.entries.get(ipa) if realm is not None else None
         if entry is not None:
             _check_mapping(out, world, realm, ipa, entry)
-
-    # (e)
-    def touches(rid: int, lo: int, size: int) -> bool:
-        got = ipas.get(rid)
-        return got is not None and \
-            any(lo <= ipa < lo + size * GRANULE_SIZE for ipa in got)
-
-    def due(p_realm, p_entry, record) -> bool:
-        """Whether I2 over the sharing reads a changed window or mapping."""
-        c_id, sid = record.c_id, record.sharing_id
-        if c_id in moved and (moved[c_id] is None or sid in moved[c_id]):
-            return True
-        if touches(p_realm.realm_id, p_entry.base, p_entry.size):
-            return True
-        c_realm = realms.get(c_id) if c_id in ipas else None
-        w = c_realm.apt.find_by_sharing_id(sid) \
-            if c_realm is not None and c_realm.apt is not None else None
-        return w is not None and touches(c_id, w.base, p_entry.size)
-
-    for p_realm, e, s in kept:
-        if due(p_realm, e, s):
-            sharings[id(s)] = (p_realm, e, s)
-    for rid in ipas.keys() | moved.keys():
-        # Attached sharings at untouched providers are the baseline's, which
-        # the index names by sharing id: those with this realm on either side.
-        sids = {w[0] for w in idx.windows.get(rid, ())}
-        for sid in sids | idx.shared.get(rid, set()):
-            for p_realm, e, s in idx.attached.get(sid, ()):
-                if p_realm.realm_id not in rids and due(p_realm, e, s):
-                    sharings[id(s)] = (p_realm, e, s)
     for p_realm, p_entry, record in sharings.values():
         _check_sharing(out, world, p_realm, p_entry, record)
-    return None if out else policy
+    return None if out else windows

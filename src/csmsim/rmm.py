@@ -79,7 +79,7 @@ class RttEntry:
 
 @dataclass
 class Rtt:
-    """Flat stage-2 map plus the table-granule budget backing it.
+    """Flat stage-2 map plus the table granules backing it.
 
     Mapping an IPA requires its 512-IPA block to be backed by a delegated
     table granule first; this preserves the delegate-table-before-map
@@ -156,9 +156,11 @@ class World:
         self.history = History()
         # What changed since the invariant checker last took these sets:
         # the (realm id, ipa) of every translation-table entry installed or
-        # removed, and the ids of realms whose policy table, share records
-        # or registry entry changed.
+        # removed, the (realm id, sharing id) of every share record or
+        # window added, removed or changed, and the ids of realms whose
+        # registry entry, policy table or region ids changed.
         self.touched_maps: set = set()
+        self.touched_sharings: set = set()
         self.touched_realms: set = set()
         # Test instrumentation: names of monitor checks to skip, used by the
         # explorer's sensitivity (mutant) runs. Empty in normal operation.
@@ -189,6 +191,7 @@ class World:
                               list(hist.flushes))
         new.disabled_checks = set(self.disabled_checks)
         new.touched_maps = set(self.touched_maps)
+        new.touched_sharings = set(self.touched_sharings)
         new.touched_realms = set(self.touched_realms)
         return new
 

@@ -3,10 +3,10 @@
 ``check_invariants`` re-verifies only what the monitor logged as touched
 since the last clean check. A clean differential run cannot show a missing
 touch site, because both checkers then return ``[]``, so the log itself is
-tested: every granule, mapping and realm policy a command changes must be
-in it. The other tests hold the two checkers to the same verdicts, on every
-builtin, on generated traffic and on corruptions injected while the
-incremental pass is armed, and bound the work a step costs.
+tested: every granule, mapping, sharing and realm entry a command changes
+must be in it. The other tests hold the two checkers to the same verdicts,
+on every builtin, on generated traffic and on corruptions injected while
+the incremental pass is armed, and bound the work a step costs.
 """
 
 import importlib.util
@@ -20,7 +20,13 @@ from hypothesis import strategies as st
 
 from conftest import build_realm, rsi
 from csmsim import harness, invariants
-from csmsim.csm import ConsumerEntry, Permission, ProviderEntry, WindowState
+from csmsim.csm import (
+    ConsumerEntry,
+    Permission,
+    ProviderEntry,
+    ShareRecord,
+    WindowState,
+)
 from csmsim.errors import ParseError
 from csmsim.explorer import enabled_commands
 from csmsim.granules import GranuleState, PasTag
@@ -50,18 +56,29 @@ def mapping_view(world) -> dict:
             for ipa, e in realm.rtt.entries.items()}
 
 
-def policy_view(world) -> dict:
-    """Per realm id: its policy table and share records, as the checker
-    reads them, and its registry entry."""
+def sharing_view(world) -> dict:
+    """Per (realm id, sharing id): that realm's records of the id, each
+    with its region's id, base and size, and its windows of the id, each
+    in table order."""
     out = {}
     for realm in world.realms.values():
-        if realm.apt is not None:
-            out[realm.realm_id] = (
-                [(e.csm_id, e.base, e.size,
-                  [(s.sharing_id, s.c_id, s.perm, s.attached) for s in e.shares])
-                 for e in realm.apt.providers],
-                [(e.sharing_id, e.base, e.size, e.state)
-                 for e in realm.apt.consumers])
+        for e in realm.apt.providers if realm.apt else ():
+            for s in e.shares:
+                out.setdefault((realm.realm_id, s.sharing_id), ([], []))[0] \
+                    .append((e.csm_id, e.base, e.size, s.c_id, s.perm, s.attached))
+        for w in realm.apt.consumers if realm.apt else ():
+            out.setdefault((realm.realm_id, w.sharing_id), ([], []))[1] \
+                .append((w.base, w.size, w.state))
+    return out
+
+
+def policy_view(world) -> dict:
+    """Per realm id: whether it has a policy table, its region ids and its
+    registry entry."""
+    out = {realm.realm_id: (realm.apt is not None,
+                            [e.csm_id for e in realm.apt.providers]
+                            if realm.apt else [])
+           for realm in world.realms.values()}
     reg = world.registry
     return {rid: (out.get(rid), reg.live.get(rid), rid in reg.tombstones)
             for rid in out.keys() | reg.live.keys() | reg.tombstones}
@@ -75,6 +92,7 @@ def changed(before: dict, after: dict) -> set:
 def clear_touch_log(world) -> None:
     world.granules.touched.clear()
     world.touched_maps.clear()
+    world.touched_sharings.clear()
     world.touched_realms.clear()
 
 
@@ -119,11 +137,13 @@ def test_touch_log_names_everything_a_command_changes(make_world, data):
             break
         actor, op, args = data.draw(st.sampled_from(commands), label="command")
         grans, maps = granule_view(world), mapping_view(world)
-        policy = policy_view(world)
+        sharings, policy = sharing_view(world), policy_view(world)
         execute_step(world, Host(HostPolicy.COOPERATIVE), actor, op, args)
         assert {i for i, (a, b) in enumerate(zip(grans, granule_view(world)))
                 if a != b} <= world.granules.touched, (op, args)
         assert changed(maps, mapping_view(world)) <= world.touched_maps, (op, args)
+        assert changed(sharings, sharing_view(world)) <= world.touched_sharings, \
+            (op, args)
         assert changed(policy, policy_view(world)) <= world.touched_realms, \
             (op, args)
         clear_touch_log(world)
@@ -139,22 +159,22 @@ def test_a_host_populate_touches_one_mapping_and_no_realm(world, coop):
     execute_step(world, coop, "host", "rmi_data_create",
                  {"rd": 0, "granule": 2, "ipa": 0x3000, "content": "00"})
     assert world.touched_maps == {(rid, 0x3000)}
-    assert world.touched_realms == set()
+    assert world.touched_sharings == world.touched_realms == set()
     assert world.granules.touched == {2}
 
 
 def test_clone_copies_the_touch_log():
     world = rich_world()
-    assert world.granules.touched and world.touched_maps and world.touched_realms
+    logs = ("touched_maps", "touched_sharings", "touched_realms")
+    assert world.granules.touched and all(getattr(world, log) for log in logs)
     clone = world.clone()
     assert clone.granules.touched == world.granules.touched
-    assert clone.touched_maps == world.touched_maps
-    assert clone.touched_realms == world.touched_realms
     clone.granules.touched.add(-1)
-    clone.touched_maps.add(-1)
-    clone.touched_realms.add(-1)
-    assert -1 not in world.granules.touched | world.touched_maps | \
-        world.touched_realms
+    assert -1 not in world.granules.touched
+    for log in logs:
+        assert getattr(clone, log) == getattr(world, log)
+        getattr(clone, log).add(-1)
+        assert -1 not in getattr(world, log)
 
 
 # ---------------------------------------------------------- differential
@@ -237,11 +257,11 @@ def attached_sharing(world, coop, perm):
     sid = rsi(world, coop, p, "rsi_csm_share", csm=csm, c_id=c, perm=perm)
     rsi(world, coop, c, "rsi_csm_reserve", sharing=sid, base=0x5000, size=2)
     rsi(world, coop, c, "rsi_csm_attach", sharing=sid)
-    return p, c
+    return p, c, sid
 
 
 def view_divergence(world, coop):
-    _, c = attached_sharing(world, coop, "rw")
+    _, c, _ = attached_sharing(world, coop, "rw")
 
     def corrupt():
         entries = world.realm_by_id(c).rtt.entries
@@ -252,7 +272,7 @@ def view_divergence(world, coop):
 
 def window_permission(world, coop):
     """Only I2 sees it: consent does not depend on the permission."""
-    _, c = attached_sharing(world, coop, "ro")
+    _, c, _ = attached_sharing(world, coop, "ro")
 
     def corrupt():
         world.realm_by_id(c).rtt.entries[0x5000].perm = Permission.READ_WRITE
@@ -261,59 +281,60 @@ def window_permission(world, coop):
 
 
 def share_permission(world, coop):
-    p, _ = attached_sharing(world, coop, "ro")
+    p, _, sid = attached_sharing(world, coop, "ro")
 
     def corrupt():
         world.realm_by_id(p).apt.providers[0].shares[0].perm = Permission.READ_WRITE
-        world.touched_realms.add(p)
+        world.touched_sharings.add((p, sid))
     return corrupt
 
 
 # Each of the next seven edits a policy table alone and leaves the consumer's
-# mappings in place, so the pass must find them from the policy touch.
+# mappings in place, so the pass must find them from the sharing touch.
 
 def record_dropped(world, coop):
-    p, _ = attached_sharing(world, coop, "ro")
+    p, _, sid = attached_sharing(world, coop, "ro")
 
     def corrupt():
         world.realm_by_id(p).apt.providers[0].shares.clear()
-        world.touched_realms.add(p)
+        world.touched_sharings.add((p, sid))
     return corrupt
 
 
 def region_dropped(world, coop):
-    p, _ = attached_sharing(world, coop, "ro")
+    p, _, sid = attached_sharing(world, coop, "ro")
 
     def corrupt():
         world.realm_by_id(p).apt.providers.clear()
+        world.touched_sharings.add((p, sid))
         world.touched_realms.add(p)
     return corrupt
 
 
 def record_detached(world, coop):
-    p, _ = attached_sharing(world, coop, "ro")
+    p, _, sid = attached_sharing(world, coop, "ro")
 
     def corrupt():
         world.realm_by_id(p).apt.providers[0].shares[0].attached = False
-        world.touched_realms.add(p)
+        world.touched_sharings.add((p, sid))
     return corrupt
 
 
 def window_reserved(world, coop):
-    _, c = attached_sharing(world, coop, "ro")
+    _, c, sid = attached_sharing(world, coop, "ro")
 
     def corrupt():
         world.realm_by_id(c).apt.consumers[0].state = WindowState.RESERVED
-        world.touched_realms.add(c)
+        world.touched_sharings.add((c, sid))
     return corrupt
 
 
 def window_removed(world, coop):
-    _, c = attached_sharing(world, coop, "ro")
+    _, c, sid = attached_sharing(world, coop, "ro")
 
     def corrupt():
         world.realm_by_id(c).apt.consumers.clear()
-        world.touched_realms.add(c)
+        world.touched_sharings.add((c, sid))
     return corrupt
 
 
@@ -321,12 +342,12 @@ def window_shadowed(world, coop):
     """Only the consent of the first window page fails: a reserved window
     put ahead of the attached one covers it, while I2 still reads the
     attached window by its sharing id."""
-    p, c = attached_sharing(world, coop, "ro")
+    p, c, _ = attached_sharing(world, coop, "ro")
 
     def corrupt():
         world.realm_by_id(c).apt.consumers.insert(
             0, ConsumerEntry(sharing_id=(p, c, 9), base=0x5000, size=1))
-        world.touched_realms.add(c)
+        world.touched_sharings.add((c, (p, c, 9)))
     return corrupt
 
 
@@ -334,13 +355,26 @@ def window_duplicated(world, coop):
     """Only I2 sees it: a copy of the attached window at another base, put
     first, is what I2 reads by the sharing id, while the mappings stay
     covered by the original."""
-    _, c = attached_sharing(world, coop, "ro")
+    _, c, sid = attached_sharing(world, coop, "ro")
 
     def corrupt():
         consumers = world.realm_by_id(c).apt.consumers
         w = consumers[0]
         consumers.insert(0, ConsumerEntry(w.sharing_id, 0x8000, w.size, w.state))
-        world.touched_realms.add(c)
+        world.touched_sharings.add((c, sid))
+    return corrupt
+
+
+def record_misplaced(world, coop):
+    """Only I2 sees it: an attached record held by a realm its sharing id
+    does not name as provider, which no consent reads."""
+    p, c, _ = attached_sharing(world, coop, "ro")
+
+    def corrupt():
+        sid = (c, p, 7)
+        world.realm_by_id(p).apt.providers[0].shares.append(ShareRecord(
+            sharing_id=sid, c_id=c, perm=Permission.READ_ONLY, attached=True))
+        world.touched_sharings.add((p, sid))
     return corrupt
 
 
@@ -348,7 +382,7 @@ def provider_remap(world, coop):
     """Only I2 sees it: the provider maps a new granule at its region's
     first page, and the consumer keeps the old one, which now counts as its
     own, so its mapping is consented."""
-    p, c = attached_sharing(world, coop, "rw")
+    p, c, _ = attached_sharing(world, coop, "rw")
 
     def corrupt():
         entries = world.realm_by_id(p).rtt.entries
@@ -367,7 +401,7 @@ def remap_behind_a_second_window(world, coop):
     """Only the mappings of the old granule see it: the provider and the
     consumer's first window move to a new granule together, so I2 holds,
     while a second window of the same sharing keeps the old one."""
-    p, c = attached_sharing(world, coop, "rw")
+    p, c, _ = attached_sharing(world, coop, "rw")
     c_realm = world.realm_by_id(c)
     first = c_realm.apt.consumers[0]
     c_realm.apt.consumers.append(ConsumerEntry(
@@ -453,13 +487,35 @@ def registry_inconsistency(world, coop):
     return corrupt
 
 
+def zombie_descriptor(world, coop):
+    """A retired id whose descriptor stays behind, still mapping its pages."""
+    rid = build_realm(world, 0, image=[(8, 0x0000, b"x")])
+
+    def corrupt():
+        world.registry.retire(rid)
+        world.touched_realms.add(rid)
+    return corrupt
+
+
+def descriptor_duplicated(world, coop):
+    """A live realm's descriptor also held at a granule the registry does
+    not name for it."""
+    rid = build_realm(world, 0)
+
+    def corrupt():
+        world.realms[30] = world.realm_by_id(rid)
+        world.touched_realms.add(rid)
+    return corrupt
+
+
 CORRUPTIONS = [
     foreign_mapping, single_foreign_mapping, view_divergence, window_permission,
     share_permission, record_dropped, region_dropped, record_detached,
     window_reserved, window_removed, window_shadowed, window_duplicated,
-    provider_remap, remap_behind_a_second_window, released_while_mapped,
-    missing_flush, illegal_access, wrong_backing, wrong_tag,
-    duplicate_region_id, registry_inconsistency]
+    record_misplaced, provider_remap, remap_behind_a_second_window,
+    released_while_mapped, missing_flush, illegal_access, wrong_backing,
+    wrong_tag, duplicate_region_id, registry_inconsistency, zombie_descriptor,
+    descriptor_duplicated]
 
 
 @pytest.mark.parametrize("setup", CORRUPTIONS, ids=lambda f: f.__name__)
@@ -476,12 +532,16 @@ def test_incremental_pass_catches_touched_corruption(setup, world, coop,
 @pytest.mark.parametrize("setup", CORRUPTIONS, ids=lambda f: f.__name__)
 def test_incremental_pass_catches_corruption_under_a_wider_log(
         setup, world, coop, reference_calls):
-    """A log may name more realms than changed; the pass must then find
-    the same."""
+    """A log may name more realms and sharings than changed; the pass must
+    then find the same."""
     corrupt = setup(world, coop)
     arm(world, reference_calls)
+    sids = {sid for _, sid in sharing_view(world)}
     corrupt()
-    world.touched_realms.update(r.realm_id for r in world.realms.values())
+    sids |= {sid for _, sid in sharing_view(world)}
+    rids = [r.realm_id for r in world.realms.values()]
+    world.touched_realms.update(rids)
+    world.touched_sharings.update((rid, sid) for rid in rids for sid in sids)
     got = check_invariants(world)
     assert len(reference_calls) == 1
     assert got == check_all(world) != []
@@ -514,7 +574,7 @@ def test_a_step_that_touches_nothing_is_not_checked(world, coop, reference_calls
     monkeypatch.setattr(invariants, "check_all", refuse)
     execute_step(world, coop, "host", "rmi_rtt_read_entry", {"rd": 0, "ipa": 0})
     assert not world.granules.touched and not world.touched_maps
-    assert not world.touched_realms
+    assert not world.touched_sharings and not world.touched_realms
     assert check_invariants(world) == []
     assert invariants._baseline.world() is world
 
@@ -534,15 +594,30 @@ def test_a_step_that_only_adds_history_rows_is_checked(world, coop,
     execute_step(world, coop, f"realm:{rid}", "realm_access",
                  {"ipa": 0, "kind": "read", "length": 1})
     assert not world.granules.touched and not world.touched_maps
-    assert not world.touched_realms
+    assert not world.touched_sharings and not world.touched_realms
     assert check_invariants(world) == []
     assert len(passes) == 1 and reference_calls == []
 
 
-def populate_work(pages: int, sharings: int, monkeypatch) -> Counter:
-    """The rule calls of the check after one host populate into a realm
-    that holds ``pages`` image pages and provides ``sharings`` attached
-    one-page regions."""
+def rule_calls(world, monkeypatch, step) -> Counter:
+    """The rule and reference calls of the check after ``step()``."""
+    calls = Counter()
+    for name in ("_check_mapping", "_check_sharing", "check_all"):
+        rule = getattr(invariants, name)
+
+        def counted(*args, rule=rule, name=name):
+            calls[name] += 1
+            return rule(*args)
+        monkeypatch.setattr(invariants, name, counted)
+    step()
+    assert check_invariants(world) == []
+    monkeypatch.undo()
+    return calls
+
+
+def provider_with(sharings: int, pages: int = 0):
+    """A provider with ``pages`` image pages and ``sharings`` one-page
+    regions, each attached by one consumer, and the indexes built."""
     world = World(granule_count=1024, seed=0)
     coop = Host(HostPolicy.COOPERATIVE)
     p = build_realm(world, 0, width=24,
@@ -557,21 +632,21 @@ def populate_work(pages: int, sharings: int, monkeypatch) -> Counter:
         rsi(world, coop, c, "rsi_csm_attach", sharing=sid)
     assert check_invariants(world) == []
     assert check_invariants(world) == []   # builds the indexes
-    calls = Counter()
-    for name in ("_check_mapping", "_check_sharing", "check_all"):
-        rule = getattr(invariants, name)
+    return world, coop, p, c
 
-        def counted(*args, rule=rule, name=name):
-            calls[name] += 1
-            return rule(*args)
-        monkeypatch.setattr(invariants, name, counted)
+
+def populate_work(pages: int, sharings: int, monkeypatch) -> Counter:
+    """The rule calls of the check after one host populate into a realm
+    that holds ``pages`` image pages and provides ``sharings`` attached
+    one-page regions."""
+    world, coop, _, _ = provider_with(sharings, pages)
     granule = coop.alloc_granule(world)
-    execute_step(world, coop, "host", "granule_delegate", {"granule": granule})
-    execute_step(world, coop, "host", "rmi_data_create_unknown",
-                 {"rd": 0, "granule": granule, "ipa": 0x180000})
-    assert check_invariants(world) == []
-    monkeypatch.undo()
-    return calls
+
+    def populate():
+        execute_step(world, coop, "host", "granule_delegate", {"granule": granule})
+        execute_step(world, coop, "host", "rmi_data_create_unknown",
+                     {"rd": 0, "granule": granule, "ipa": 0x180000})
+    return rule_calls(world, monkeypatch, populate)
 
 
 def test_a_populate_checks_the_same_work_whatever_the_realm_holds(monkeypatch):
@@ -581,6 +656,35 @@ def test_a_populate_checks_the_same_work_whatever_the_realm_holds(monkeypatch):
               for pages in (4, 256) for sharings in (1, 8)]
     assert counts[0] == Counter({"_check_mapping": 1})
     assert all(c == counts[0] for c in counts), counts
+
+
+def policy_edit_work(sharings: int, monkeypatch) -> list:
+    """The rule calls of the check after each of a share, a reserve, an
+    attach and a detach of a new one-page region at a provider that
+    already holds ``sharings`` attached sharings."""
+    world, coop, p, c = provider_with(sharings)
+    csm = rsi(world, coop, p, "rsi_csm_create", base=0x180000, size=1)
+    assert check_invariants(world) == []
+    sid = [p, c, sharings]   # the next counter of the pair
+    steps = [(p, "rsi_csm_share", {"csm": csm, "c_id": c, "perm": "ro"}),
+             (c, "rsi_csm_reserve", {"sharing": sid, "base": 0x80000, "size": 1}),
+             (c, "rsi_csm_attach", {"sharing": sid}),
+             (c, "rsi_csm_detach_and_free", {"sharing": sid})]
+    return [rule_calls(world, monkeypatch,
+                       lambda: rsi(world, coop, realm, op, **args))
+            for realm, op, args in steps]
+
+
+def test_a_policy_edit_checks_the_same_work_whatever_the_provider_shares(
+        monkeypatch):
+    """A share or reserve vouches for no mapping yet; an attach adds the
+    window's page and its provider page, and one sharing for I2; a detach
+    leaves the provider page to check."""
+    counts = [policy_edit_work(sharings, monkeypatch) for sharings in (1, 8)]
+    assert counts[0] == [Counter(), Counter(),
+                         Counter({"_check_mapping": 2, "_check_sharing": 1}),
+                         Counter({"_check_mapping": 1})]
+    assert counts[1] == counts[0]
 
 
 def load_generator():

@@ -92,3 +92,11 @@ def test_registry_inconsistency_trips_freshness(world):
     rid = build_realm(world, 0)
     world.registry.live[rid] = 44  # points at a granule holding no realm
     assert "I7" in codes(check_invariants(world))
+
+
+def test_descriptor_of_a_retired_id_trips_freshness(world):
+    """A realm id retired while its descriptor stays behind: the descriptor
+    is resurrected state, whatever it maps."""
+    rid = build_realm(world, 0, image=[(8, 0x0000, b"x")])
+    world.registry.retire(rid)
+    assert "I7" in codes(check_invariants(world))
