@@ -17,10 +17,12 @@ import json
 import sys
 
 from .bench import MODES, append_csv, bench_run
+from .csm import DISABLEABLE_CHECKS
 from .errors import ParseError
 from .explorer import ExplorationConfig, explore
 from .host import HostPolicy
-from .harness import RunConfig, builtin_scenarios, load_scenario, run_scenario
+from .harness import (RunConfig, builtin_scenarios, check_seed, load_scenario,
+                      run_scenario)
 
 EXIT_OK = 0
 EXIT_FAILURE = 1
@@ -61,6 +63,11 @@ def _cmd_builtin(args) -> int:
 
 
 def _cmd_explore(args) -> int:
+    # Each realm draws its private data granule from the free pool.
+    if not 0 <= args.realms <= args.granules:
+        raise ParseError(f"want 0 <= --realms <= --granules, not {args.realms} "
+                         f"and {args.granules}")
+    check_seed(args.seed)
     cfg = ExplorationConfig(realm_count=args.realms,
                             granule_count=args.granules,
                             depth=args.depth,
@@ -74,6 +81,9 @@ def _cmd_explore(args) -> int:
 
 
 def _cmd_bench(args) -> int:
+    if args.size < 0 or args.iters < 1:
+        raise ParseError(f"want --size >= 0 and --iters >= 1, not {args.size} "
+                         f"and {args.iters}")
     reports = []
     for mode in args.mode:
         report = bench_run(mode, args.size, args.iters, seed=args.seed)
@@ -118,6 +128,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_explore.add_argument("--depth", type=int, default=6)
     p_explore.add_argument("--csm-max-size", type=int, default=2)
     p_explore.add_argument("--mutant", action="append", default=[],
+                           choices=DISABLEABLE_CHECKS,
                            help="disable a named monitor check (sensitivity runs)")
     p_explore.add_argument("--state-cap", type=int, default=200_000)
     p_explore.add_argument("--seed", type=int, default=0)

@@ -26,6 +26,7 @@ identifier independently.
 
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import NamedTuple
 
 from .errors import (
     AlreadyAttached,
@@ -80,8 +81,7 @@ def compose_sharing_id(p_id: int, c_id: int, counter: int) -> tuple:
     return (p_id, c_id, counter)
 
 
-@dataclass
-class PendingRsi:
+class PendingRsi(NamedTuple):
     """A realm service call suspended awaiting host granule work."""
     op: str          # "csm_create" or "csm_reserve"
     base: int
@@ -268,6 +268,10 @@ def rsi_csm_reserve(world, caller: int, sharing_id: tuple, base: int,
     world.touched_sharings.add((caller, sharing_id))
     return world.suspend(realm, PendingRsi("csm_reserve", base, size,
                                            sharing_id=sharing_id))
+
+
+# Checks a sensitivity (mutant) run may skip by name (``disabled_checks``).
+DISABLEABLE_CHECKS = ("attach_size_equality",)
 
 
 def rsi_csm_attach(world, caller: int, sharing_id: tuple) -> None:

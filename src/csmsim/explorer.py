@@ -88,9 +88,8 @@ def build_initial_world(cfg: ExplorationConfig) -> World:
     total = cfg.realm_count * 4 + cfg.granule_count
     world = World(granule_count=total, seed=cfg.seed)
     world.disabled_checks = set(cfg.disabled_checks)
-    nxt = iter(range(total))
     for r in range(cfg.realm_count):
-        rd, apt, rec, rtt, data = (next(nxt) for _ in range(5))
+        rd, apt, rec, rtt, data = range(5 * r, 5 * r + 5)
         world.granule_delegate(rd)
         world.rmi_realm_create(rd, ipa_width=20)
         world.granule_delegate(apt)
@@ -119,14 +118,10 @@ def enabled_commands(world: World, cfg: ExplorationConfig) -> list:
     live = sorted(world.registry.live)
     want = set(cfg.commands)
 
-    def realm_ready(rid):
-        realm = world.realm_by_id(rid)
-        return realm.rec is not None and realm.rec.pending is None
-
     for rid in live:
-        if not realm_ready(rid):
-            continue
         realm = world.realm_by_id(rid)
+        if realm.rec is None or realm.rec.pending is not None:
+            continue
         actor = f"realm:{rid}"
         if "csm_create" in want:
             for base in cfg.create_bases:
@@ -204,16 +199,16 @@ def _host_data_commands(world: World, cfg: ExplorationConfig, live: list) -> lis
     if free is not None:
         out.append((f"delegate(g{free})", "host", "granule_delegate",
                     {"granule": free}))
-    for g in world.granules.grans:
+    for index, g in enumerate(world.granules.grans):
         if g.state is GranuleState.DELEGATED:
-            out.append((f"undelegate(g{g.index})", "host", "granule_undelegate",
-                        {"granule": g.index}))
+            out.append((f"undelegate(g{index})", "host", "granule_undelegate",
+                        {"granule": index}))
             for rid in live:
                 rd = world.registry.live[rid]
                 for base in cfg.create_bases:
-                    out.append((f"map(r{rid},g{g.index},{base:#x})", "host",
+                    out.append((f"map(r{rid},g{index},{base:#x})", "host",
                                 "rmi_data_create_unknown",
-                                {"rd": rd, "granule": g.index, "ipa": base}))
+                                {"rd": rd, "granule": index, "ipa": base}))
             break  # one representative delegated granule is enough
     for rid in live:
         rd = world.registry.live[rid]
@@ -266,8 +261,7 @@ def canonical_state(world: World) -> tuple:
                tuple(sorted(r.rtt.backed.items())))
         pending = None
         if r.rec is not None and r.rec.pending is not None:
-            p = r.rec.pending
-            pending = (p.op, p.base, p.size, p.csm_id, p.sharing_id)
+            pending = tuple(r.rec.pending)
         realms.append((r.realm_id, r.lifecycle._value_, r.rim, apt, rtt,
                        pending, tuple(r.peer_ids)))
     return (grans, tuple(realms),
@@ -286,14 +280,14 @@ def access_oracle(world: World) -> dict:
     """
     matrix = {}
     for label, _ in _WORLD_ACTORS.items():
-        for g in world.granules.grans:
+        for index, g in enumerate(world.granules.grans):
             allowed = _ACCESS_RULE[(label, g.pas.value)]
-            matrix[(label, g.index)] = "read_write" if allowed else "none"
+            matrix[(label, index)] = "read_write" if allowed else "none"
     for rid in sorted(world.registry.live):
         realm = world.realm_by_id(rid)
         label = f"realm:{rid}"
-        for g in world.granules.grans:
-            matrix[(label, g.index)] = "none"
+        for index in range(len(world.granules)):
+            matrix[(label, index)] = "none"
         runnable = (realm.rec is not None and realm.rec.pending is None)
         if not runnable:
             continue
@@ -307,22 +301,23 @@ def access_oracle(world: World) -> dict:
     return matrix
 
 
+_LEVELS = {(True, True): "read_write", (True, False): "read",
+           (False, False): "none", (False, True): "write"}
+
+
 def operational_matrix(world: World) -> dict:
     """The same matrix computed through the operational access checks."""
     matrix = {}
     for label, state in _WORLD_ACTORS.items():
-        for g in world.granules.grans:
-            ok_r = world.physical_access_allowed(state, g.index, "read")
-            ok_w = world.physical_access_allowed(state, g.index, "write")
-            matrix[(label, g.index)] = {(True, True): "read_write",
-                                        (True, False): "read",
-                                        (False, False): "none",
-                                        (False, True): "write"}[(ok_r, ok_w)]
+        for index in range(len(world.granules)):
+            ok_r = world.physical_access_allowed(state, index, "read")
+            ok_w = world.physical_access_allowed(state, index, "write")
+            matrix[(label, index)] = _LEVELS[(ok_r, ok_w)]
     for rid in sorted(world.registry.live):
         realm = world.realm_by_id(rid)
         label = f"realm:{rid}"
-        for g in world.granules.grans:
-            matrix[(label, g.index)] = "none"
+        for index in range(len(world.granules)):
+            matrix[(label, index)] = "none"
         for ipa, entry in realm.rtt.entries.items():
             ok_r = world.realm_access_allowed(rid, ipa, "read")
             ok_w = world.realm_access_allowed(rid, ipa, "write")
@@ -355,10 +350,6 @@ def oracle_mismatches(world: World, granules=None) -> list:
             out.append({"actor": key[0], "granule": key[1],
                         "oracle": oracle[key], "operational": actual[key]})
     return out
-
-
-_LEVELS = {(True, True): "read_write", (True, False): "read",
-           (False, False): "none", (False, True): "write"}
 
 
 def _touched_mismatches(world: World, granules) -> list:

@@ -24,6 +24,7 @@ wrote, and vice versa.
 
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import NamedTuple
 
 from .errors import BadState, OutOfRange
 
@@ -79,9 +80,8 @@ def gpc_check(state: SecurityState, pas: PasTag) -> bool:
     return GPC_MATRIX[state][pas]
 
 
-@dataclass
-class Granule:
-    index: int
+class Granule(NamedTuple):
+    """A value; its index is its position in ``GranuleSpace.grans``."""
     pas: PasTag = PasTag.NORMAL
     state: GranuleState = GranuleState.UNDELEGATED
     content: bytes = ZERO_GRANULE
@@ -90,9 +90,20 @@ class Granule:
     owner: int = 0
 
 
+# The zeroed granules ``undelegate`` and ``delegate``/``release`` store.
+UNDELEGATED = Granule()
+DELEGATED = Granule(PasTag.REALM, GranuleState.DELEGATED)
+
+
 @dataclass
 class GranuleSpace:
     """All physical granules plus the GPT view over them.
+
+    Granules are values: a world's copy copies this list and shares every
+    granule, and only the five mutators store into it. ``delegate`` and
+    ``release`` store the shared ``DELEGATED``, ``undelegate`` the shared
+    ``UNDELEGATED``. Both are exact: zeroed, tagged as I6 pins, and unowned,
+    as only ``retag`` writes an owner and it always leaves DELEGATED.
 
     ``low`` is a low-water index: every granule below it is delegated, so
     it is the lowest undelegated granule, or ``count`` when there is none.
@@ -113,7 +124,7 @@ class GranuleSpace:
 
     def __post_init__(self):
         if not self.grans:
-            self.grans = [Granule(i) for i in range(self.count)]
+            self.grans = [UNDELEGATED] * self.count
         self.low = self._next_undelegated(0)
 
     def __len__(self) -> int:
@@ -123,10 +134,6 @@ class GranuleSpace:
         if not 0 <= index < self.count:
             raise OutOfRange(f"granule {index} of {self.count}")
         return self.grans[index]
-
-    def gpt(self) -> dict:
-        """The granule protection table: dense index -> PAS tag map."""
-        return {g.index: g.pas for g in self.grans}
 
     def lowest_undelegated(self) -> int | None:
         """The index of the first granule still in the normal world."""
@@ -143,9 +150,7 @@ class GranuleSpace:
         g = self[index]
         if g.state is not GranuleState.UNDELEGATED:
             raise BadState(f"delegate granule {index} in state {g.state.value}")
-        g.state = GranuleState.DELEGATED
-        g.pas = PasTag.REALM
-        g.content = ZERO_GRANULE
+        self.grans[index] = DELEGATED
         self.touched.add(index)
         if index == self.low:
             self.low = self._next_undelegated(index + 1)
@@ -154,9 +159,7 @@ class GranuleSpace:
         g = self[index]
         if g.state is not GranuleState.DELEGATED:
             raise BadState(f"undelegate granule {index} in state {g.state.value}")
-        g.state = GranuleState.UNDELEGATED
-        g.pas = PasTag.NORMAL
-        g.content = ZERO_GRANULE
+        self.grans[index] = UNDELEGATED
         self.touched.add(index)
         self.low = min(self.low, index)
 
@@ -165,8 +168,7 @@ class GranuleSpace:
         g = self[index]
         if g.state is not GranuleState.DELEGATED:
             raise BadState(f"granule {index} in state {g.state.value}, want delegated")
-        g.state = state
-        g.owner = owner
+        self.grans[index] = Granule(g.pas, state, g.content, owner)
         self.touched.add(index)
 
     def release(self, index: int) -> None:
@@ -174,13 +176,8 @@ class GranuleSpace:
         g = self[index]
         if g.state in (GranuleState.UNDELEGATED, GranuleState.DELEGATED):
             raise BadState(f"release granule {index} in state {g.state.value}")
-        g.state = GranuleState.DELEGATED
-        g.owner = 0
-        g.content = ZERO_GRANULE
+        self.grans[index] = DELEGATED
         self.touched.add(index)
-
-    def check_access(self, state: SecurityState, index: int) -> bool:
-        return gpc_check(state, self[index].pas)
 
     def read(self, index: int, offset: int = 0, length: int | None = None) -> bytes:
         g = self[index]
@@ -194,7 +191,8 @@ class GranuleSpace:
         g = self[index]
         if not 0 <= offset <= offset + len(data) <= GRANULE_SIZE:
             raise OutOfRange(f"slice {offset}+{len(data)}")
-        g.content = g.content[:offset] + data + g.content[offset + len(data):]
+        content = g.content[:offset] + data + g.content[offset + len(data):]
+        self.grans[index] = Granule(g.pas, g.state, content, g.owner)
 
     def counts(self) -> dict:
         out = {s.value: 0 for s in GranuleState}

@@ -227,7 +227,7 @@ def _check_arg_types(op: str, args: dict, where: str) -> None:
                              f"{want}, not {value!r}")
 
 
-def _check_seed(seed) -> None:
+def check_seed(seed) -> None:
     """A seed is folded into the platform identity as 8 unsigned bytes."""
     if not _is_int(seed) or not 0 <= seed < 1 << 64:
         raise ParseError(f"seed must be an integer in [0, 2**64), not {seed!r}")
@@ -283,7 +283,7 @@ def parse_scenario(obj: dict, name: str = "<inline>") -> Scenario:
         steps.append(ScenarioStep(actor=actor, op=op, args=args,
                                   expect=expect, bind=bind))
     seed, granules = obj.get("seed", 0), obj.get("granules", 64)
-    _check_seed(seed)
+    check_seed(seed)
     if not _is_int(granules) or granules < 1:
         raise ParseError(f"granules must be a positive integer, not {granules!r}")
     return Scenario(name=obj.get("name", name), steps=steps, seed=seed,
@@ -398,7 +398,7 @@ def run_scenario(scenario: Scenario, config: RunConfig | None = None):
     no state ever violated an invariant."""
     config = config or RunConfig()
     seed = config.seed if config.seed is not None else scenario.seed
-    _check_seed(seed)
+    check_seed(seed)
     policy = config.policy if config.policy is not None else scenario.policy
     host = Host(HostPolicy(policy))
     _check_probe_args(scenario, host.policy)

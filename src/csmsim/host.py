@@ -158,10 +158,10 @@ class Host:
         fault every time."""
         outcome = {"probed": len(world.granules), "normal_reads": 0,
                    "realm_pas_reads": 0, "faults": 0}
-        for g in world.granules.grans:
+        for index, g in enumerate(world.granules.grans):
             was_realm = g.pas is PasTag.REALM
             try:
-                world.physical_access(SecurityState.NORMAL, g.index, "read",
+                world.physical_access(SecurityState.NORMAL, index, "read",
                                       length=16)
             except Fault:
                 outcome["faults"] += 1
@@ -176,9 +176,9 @@ class Host:
         """Try to map a granule that already backs another realm's memory."""
         target = world.realm_at(rd)
         victim_pa = None
-        for g in world.granules.grans:
+        for index, g in enumerate(world.granules.grans):
             if g.state is GranuleState.DATA and g.owner != target.realm_id:
-                victim_pa = g.index
+                victim_pa = index
                 break
         if victim_pa is None:
             raise BadState("no foreign data granule to target")

@@ -131,7 +131,7 @@ def check_all(world) -> list[dict]:
     for realm in realms:
         for ipa, entry in realm.rtt.entries.items():
             _check_mapping(out, world, realm, ipa, entry)
-    _check_tags(out, world.granules.grans)
+    _check_tags(out, enumerate(world.granules.grans))
 
     # I7: identifier uniqueness and freshness.
     live = world.registry.live
@@ -231,16 +231,16 @@ def _check_mapping(out: list, world, realm, ipa: int, entry) -> None:
 
 
 def _check_tags(out: list, grans) -> None:
-    """The I6 state/tag implication over granules."""
-    for g in grans:
+    """The I6 state/tag implication over (index, granule) pairs."""
+    for index, g in grans:
         delegated = g.state is not GranuleState.UNDELEGATED
         if delegated and g.pas is not PasTag.REALM:
             out.append(_violation(
-                "I6", f"granule {g.index} state {g.state.value} but "
+                "I6", f"granule {index} state {g.state.value} but "
                       f"tag {g.pas.value}"))
         if not delegated and g.pas is not PasTag.NORMAL:
             out.append(_violation(
-                "I6", f"undelegated granule {g.index} tagged {g.pas.value}"))
+                "I6", f"undelegated granule {index} tagged {g.pas.value}"))
 
 
 # ------------------------------------------------------------ incremental
@@ -437,7 +437,7 @@ def _clean_since(world, base: _Baseline, realms: dict, grans: set,
     # balanced, so the whole is balanced exactly when the new rows are.
     _check_accesses(out, hist.accesses[n_acc:])
     _check_flushes(out, hist.invalidations[n_inv:], hist.flushes[n_flush:])
-    _check_tags(out, [world.granules[index] for index in grans])
+    _check_tags(out, [(index, world.granules[index]) for index in grans])
 
     visit = set(maps)   # (realm id, ipa) of the mappings to check
     sharings = {}       # id(record) -> (provider, region, record) for I2

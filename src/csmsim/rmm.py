@@ -21,6 +21,7 @@ re-entry once the host has done the required granule work.
 
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import NamedTuple
 
 from . import digests
 from .csm import (
@@ -50,7 +51,6 @@ from .errors import (
 )
 from .granules import (
     GRANULE_SIZE,
-    Granule,
     GranuleSpace,
     GranuleState,
     SecurityState,
@@ -71,8 +71,7 @@ class Lifecycle(Enum):
     DESTROYED = "destroyed"
 
 
-@dataclass
-class RttEntry:
+class RttEntry(NamedTuple):
     pa: int
     perm: Permission
 
@@ -90,8 +89,7 @@ class Rtt:
     backed: dict = field(default_factory=dict)    # block index -> rtt granule
 
 
-@dataclass
-class Rec:
+class Rec(NamedTuple):
     rec_granule: int
     pending: PendingRsi | None = None
 
@@ -171,17 +169,17 @@ class World:
     def clone(self) -> "World":
         """An independent copy, as ``copy.deepcopy`` would make, but faster.
 
-        Every mutable object (granules, registry, realm metadata, logs) is
-        copied; immutable values (contents, digests, ids, tuples, enums) are
-        shared. ``tests/test_clone.py`` holds it to ``copy.deepcopy``.
+        Containers (lists, dicts, sets) and the records the monitor edits in
+        place (registry, realm descriptors, policy tables and entries,
+        logs) are copied. Values are shared: granules, translation entries,
+        vCPU records and pending calls are never written once built, only
+        replaced in their container, and contents, digests, ids and enums
+        are immutable. ``tests/test_clone.py`` holds it to ``copy.deepcopy``.
         """
         new = _shallow(self)
         new.granules = _shallow(self.granules)
         new.granules.touched = set(self.granules.touched)
-        # Granules are most of a world. Built by the constructor, they keep
-        # their fields inline, which takes less memory than a copied __dict__.
-        new.granules.grans = [Granule(g.index, g.pas, g.state, g.content, g.owner)
-                              for g in self.granules.grans]
+        new.granules.grans = list(self.granules.grans)
         reg = self.registry
         new.registry = IdRegistry(reg.next_id, dict(reg.live), set(reg.tombstones))
         new.realms = {rd: _clone_realm(r) for rd, r in self.realms.items()}
@@ -293,7 +291,7 @@ class World:
     def physical_access_allowed(self, state: SecurityState, index: int,
                                 kind: str) -> bool:
         del kind  # GPC grants read and write together
-        return self.granules.check_access(state, index)
+        return gpc_check(state, self.granules[index].pas)
 
     def physical_access(self, state: SecurityState, index: int, kind: str,
                         offset: int = 0, data: bytes | None = None,
@@ -552,7 +550,7 @@ class World:
     def suspend(self, realm: RealmDescriptor, pending: PendingRsi) -> str:
         """Park the vCPU on ``pending`` and ask the host for the granule work:
         populating a provider region, or clearing a consumer window."""
-        realm.rec.pending = pending
+        realm.rec = Rec(realm.rec.rec_granule, pending)
         kind = EXIT_P_REALM_CSM if pending.op == "csm_create" else EXIT_C_REALM_CSM
         self.emit_exit(kind, realm.realm_id, pending.base, pending.size)
         return PENDING
@@ -572,7 +570,7 @@ class World:
         create = pending.op == "csm_create"
         if all((ipa in realm.rtt.entries) is create
                for ipa in ipa_span(pending.base, pending.size)):
-            realm.rec.pending = None
+            realm.rec = Rec(realm.rec.rec_granule)
             return pending.csm_id if create else {"reserved": True}
         return self.suspend(realm, pending)
 
@@ -625,16 +623,11 @@ def _copy_json(value):
 
 def _clone_realm(realm: RealmDescriptor) -> RealmDescriptor:
     new = _shallow(realm)
-    new.rtt = Rtt({ipa: _shallow(e) for ipa, e in realm.rtt.entries.items()},
-                  dict(realm.rtt.backed))
+    new.rtt = Rtt(dict(realm.rtt.entries), dict(realm.rtt.backed))
     if realm.apt is not None:
         new.apt = Apt(list(map(_clone_provider, realm.apt.providers)),
                       list(map(_shallow, realm.apt.consumers)),
                       dict(realm.apt.share_counters))
-    if realm.rec is not None:
-        new.rec = _shallow(realm.rec)
-        if realm.rec.pending is not None:
-            new.rec.pending = _shallow(realm.rec.pending)
     new.peer_ids = list(realm.peer_ids)
     return new
 

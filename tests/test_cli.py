@@ -77,6 +77,30 @@ def test_explore_mutant_fails(capsys):
     assert report["violations"]
 
 
+# Numeric options out of range: one line and exit 2, not a traceback.
+@pytest.mark.parametrize("argv", [
+    ["explore", "--depth", "1", "--granules", "-20"],
+    ["explore", "--depth", "1", "--granules", "1"],
+    ["explore", "--depth", "1", "--realms", "-1"],
+    ["explore", "--depth", "1", "--seed", "-1"],
+    ["bench", "--size", "8", "--iters", "0"],
+    ["bench", "--size", "-1"],
+], ids=["negative_granules", "granules_below_realms", "negative_realms",
+        "negative_seed", "zero_iters", "negative_size"])
+def test_bad_numeric_option_is_usage_error(argv, capsys):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert len(err.splitlines()) == 1 and err.startswith("ParseError: ")
+
+
+def test_explore_unknown_mutant_is_usage_error(capsys):
+    with pytest.raises(SystemExit) as exit_:
+        main(["explore", "--depth", "2", "--mutant", "typo"])
+    assert exit_.value.code == 2
+    assert "invalid choice: 'typo'" in capsys.readouterr().err
+
+
 def test_bench_appends_csv(tmp_path, capsys):
     csv_path = tmp_path / "out.csv"
     assert main(["bench", "--mode", "plaintext", "--size", "256",

@@ -49,7 +49,7 @@ def test_gpc_structural_properties(state, pas):
 
 def test_delegate_wipes_and_retags():
     space = GranuleSpace(4)
-    space.grans[2].content = b"\xaa" * GRANULE_SIZE
+    space.grans[2] = space.grans[2]._replace(content=b"\xaa" * GRANULE_SIZE)
     space.delegate(2)
     g = space[2]
     assert g.state is GranuleState.DELEGATED
@@ -71,9 +71,9 @@ def test_lowest_undelegated_skips_the_realm_world():
 
 def scan_lowest_undelegated(space) -> int | None:
     """The reference for ``lowest_undelegated``: a scan from granule 0."""
-    for g in space.grans:
+    for index, g in enumerate(space.grans):
         if g.state is GranuleState.UNDELEGATED:
-            return g.index
+            return index
     return None
 
 
@@ -109,9 +109,9 @@ def test_lowest_undelegated_matches_a_scan(count, ops):
 
 @pytest.mark.parametrize("delegated", [(), (0,), (0, 1), (1, 3), (0, 1, 2, 3)])
 def test_lowest_undelegated_of_a_given_granule_list(delegated):
-    grans = [Granule(i) for i in range(4)]
+    grans = [Granule()] * 4
     for i in delegated:
-        grans[i].state, grans[i].pas = GranuleState.DELEGATED, PasTag.REALM
+        grans[i] = grans[i]._replace(state=GranuleState.DELEGATED, pas=PasTag.REALM)
     space = GranuleSpace(4, grans=grans)
     while space.lowest_undelegated() is not None:
         assert space.lowest_undelegated() == scan_lowest_undelegated(space)
@@ -182,13 +182,18 @@ def test_undelegate_only_from_delegated():
         space.undelegate(0)
 
 
+def gpt(space) -> dict:
+    """The granule protection table: dense index -> PAS tag map."""
+    return {index: g.pas for index, g in enumerate(space.grans)}
+
+
 def test_delegate_undelegate_round_trip_restores_gpt():
     space = GranuleSpace(8)
-    before = space.gpt()
+    before = gpt(space)
     space.delegate(3)
-    assert space.gpt() != before
+    assert gpt(space) != before
     space.undelegate(3)
-    assert space.gpt() == before
+    assert gpt(space) == before
     assert space[3].content == bytes(GRANULE_SIZE)
 
 

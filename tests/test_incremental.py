@@ -99,7 +99,7 @@ def clear_touch_log(world) -> None:
 def host_commands(world) -> list:
     """Realm destroy and re-create, beyond the explorer's own commands."""
     out = [("host", "rmi_realm_destroy", {"rd": rd}) for rd in sorted(world.realms)]
-    free = [g.index for g in world.granules.grans
+    free = [index for index, g in enumerate(world.granules.grans)
             if g.state is GranuleState.DELEGATED]
     if free:
         out.append(("host", "rmi_realm_create", {"rd": free[0]}))
@@ -146,6 +146,10 @@ def test_touch_log_names_everything_a_command_changes(make_world, data):
             (op, args)
         assert changed(policy, policy_view(world)) <= world.touched_realms, \
             (op, args)
+        # The premise of the shared zeroed granule values.
+        free = (GranuleState.UNDELEGATED, GranuleState.DELEGATED)
+        assert all(g.owner == 0 for g in world.granules.grans
+                   if g.state in free), (op, args)
         clear_touch_log(world)
 
 
@@ -275,7 +279,8 @@ def window_permission(world, coop):
     _, c, _ = attached_sharing(world, coop, "ro")
 
     def corrupt():
-        world.realm_by_id(c).rtt.entries[0x5000].perm = Permission.READ_WRITE
+        entries = world.realm_by_id(c).rtt.entries
+        entries[0x5000] = entries[0x5000]._replace(perm=Permission.READ_WRITE)
         world.touched_maps.add((c, 0x5000))
     return corrupt
 
@@ -392,7 +397,7 @@ def provider_remap(world, coop):
         world.granules.retag(new, GranuleState.DATA, p)
         entries[0x2000] = RttEntry(new, Permission.READ_WRITE)
         world.touched_maps.add((p, 0x2000))
-        world.granules[old].owner = c
+        world.granules.grans[old] = world.granules[old]._replace(owner=c)
         world.granules.touched.add(old)
     return corrupt
 
@@ -414,8 +419,9 @@ def remap_behind_a_second_window(world, coop):
         new = coop.alloc_granule(world)
         world.granule_delegate(new)
         world.granules.retag(new, GranuleState.DATA, p)
-        world.realm_by_id(p).rtt.entries[0x2000].pa = new
-        c_realm.rtt.entries[0x5000].pa = new
+        p_entries = world.realm_by_id(p).rtt.entries
+        p_entries[0x2000] = p_entries[0x2000]._replace(pa=new)
+        c_realm.rtt.entries[0x5000] = c_realm.rtt.entries[0x5000]._replace(pa=new)
         world.touched_maps.update(((p, 0x2000), (c, 0x5000)))
     return corrupt
 
@@ -425,8 +431,8 @@ def released_while_mapped(world, coop):
     build_realm(world, 0, image=[(8, 0x0000, b"x")])
 
     def corrupt():
-        world.granules[8].state = GranuleState.DELEGATED
-        world.granules[8].owner = 0
+        world.granules.grans[8] = world.granules[8]._replace(
+            state=GranuleState.DELEGATED, owner=0)
         world.granules.touched.add(8)
     return corrupt
 
@@ -462,7 +468,7 @@ def wrong_tag(world, coop):
     build_realm(world, 0)
 
     def corrupt():
-        world.granules[30].pas = PasTag.REALM
+        world.granules.grans[30] = world.granules[30]._replace(pas=PasTag.REALM)
         world.granules.touched.add(30)
     return corrupt
 
