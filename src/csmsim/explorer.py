@@ -32,6 +32,8 @@ import hashlib
 import time
 from dataclasses import dataclass, field
 
+from .csm import DISABLEABLE_CHECKS
+from .errors import ParseError
 from .granules import GRANULE_SIZE, GranuleState, SecurityState
 from .harness import execute_step
 from .host import Host, HostPolicy
@@ -397,6 +399,9 @@ def _widen(row: dict, pa: int, write: bool) -> None:
 
 def explore(cfg: ExplorationConfig) -> ExplorationReport:
     t0 = time.perf_counter()
+    if not set(cfg.disabled_checks) <= set(DISABLEABLE_CHECKS):
+        raise ParseError(f"disabled_checks must be among {DISABLEABLE_CHECKS}, "
+                         f"not {cfg.disabled_checks!r}")
     report = ExplorationReport()
     init = build_initial_world(cfg)
     # Entries are (world, path, whether its oracle check found nothing).

@@ -81,11 +81,8 @@ _WORLD_STATES = {"host": SecurityState.NORMAL, "root": SecurityState.ROOT,
                  "secure": SecurityState.SECURE}
 
 
-def _hex(args, key, default=b""):
-    raw = args.get(key)
-    if raw is None:
-        return default
-    return bytes.fromhex(raw)
+def _hex(args, key):
+    return bytes.fromhex(args.get(key) or "")
 
 
 def _op_physical_access(world, host, actor, caller, args):
@@ -160,6 +157,14 @@ OPS = {
     "owner_compute_expectation": ({"owner"}, {"ipa_width"}, _op_expectation),
     "verify_token": ({"owner"}, {"token", "expectation"}, lambda w, h, a, c, g: attestation.verify_token(g["token"], g["expectation"])),
     "owner_release_peer_id": ({"owner"}, {"token", "expectation"}, lambda w, h, a, c, g: attestation.owner_release_peer_id(w, c, g["token"], g["expectation"])),
+}
+# The names an op takes besides its required arguments; no other is allowed.
+_ACCESS_ARGS = {"offset", "data", "length"}
+_OPTIONAL_ARGS = {
+    "rmi_realm_create": {"ipa_width"}, "rmi_data_create": {"content"},
+    "physical_access": _ACCESS_ARGS, "realm_access": _ACCESS_ARGS,
+    "owner_compute_expectation": {"image"},
+    "adversarial_step": {n for _, names in PROBES.values() for n in names},
 }
 
 
@@ -271,6 +276,10 @@ def parse_scenario(obj: dict, name: str = "<inline>") -> Scenario:
         if missing:
             raise ParseError(f"{where}: op {op!r} missing argument(s) "
                              f"{', '.join(missing)}")
+        unknown = args.keys() - required - _OPTIONAL_ARGS.get(op, set())
+        if unknown:
+            raise ParseError(f"{where}: op {op!r} takes no argument(s) "
+                             f"{', '.join(sorted(map(str, unknown)))}")
         for ref in _collect_refs(args):
             if ref not in bound:
                 raise ParseError(f"{where}: dangling reference @{ref}")

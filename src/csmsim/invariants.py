@@ -16,13 +16,13 @@ I6 Backing: protected mappings target realm-world data granules; the
 I7 Identifier freshness: realm and region identifiers are unique, below
    their counters, and never resurrected.
 
-Two checkers give the same verdicts. Each of the rules I2-I6 is one
+Two checkers give the same verdicts. Each of the rules I2-I7 is one
 function over the items it is given (a sharing, a run of history rows, a
-mapping, granules), and both checkers call it: they differ only in which
-items they visit. ``check_all`` is the reference: it visits every item and
-reads raw state alone. ``check_invariants``, the one callers use, visits
-only what changed since the last clean check of the same world. The
-monitor logs what each command touches: granule indices in
+mapping, granules, realm ids and realms), and both checkers call it: they
+differ only in which items they visit. ``check_all`` is the reference: it
+visits every item and reads raw state alone. ``check_invariants``, the one
+callers use, visits only what changed since the last clean check of the
+same world. The monitor logs what each command touches: granule indices in
 ``GranuleSpace.touched``, the (realm id, ipa) of each translation-table
 entry installed or removed in ``World.touched_maps``, the (realm id,
 sharing id) of each share record or window added, removed or changed in
@@ -35,9 +35,9 @@ and I2 over its attached records. An own mapping (its granule's owner is
 its realm) never reads a policy table, and a foreign one reads only the
 window covering it and the first record of that window's sharing id, so a
 policy edit reaches only the mappings in the edited sharing's windows.
-``_clean_since`` gives the whole argument; I1 and I7 have no per-item
-form, and it covers them too. A check with nothing touched and no new row
-has nothing to visit and returns at once.
+``_clean_since`` gives the whole argument; I1 has no per-item form, and it
+covers that too. A check with nothing touched and no new row has nothing
+to visit and returns at once.
 
 The reference runs instead on the first and second check of a world (the
 second one also builds the indexes), whenever the world has disabled
@@ -118,9 +118,7 @@ def check_all(world) -> list[dict]:
 
     # I2: attached sharings show identical physical sequences.
     for realm in realms:
-        if realm.apt is None:
-            continue
-        for p_entry in realm.apt.providers:
+        for p_entry in realm.apt.providers if realm.apt else ():
             for record in p_entry.shares:
                 if record.attached:
                     _check_sharing(out, world, realm, p_entry, record)
@@ -134,28 +132,8 @@ def check_all(world) -> list[dict]:
     _check_tags(out, enumerate(world.granules.grans))
 
     # I7: identifier uniqueness and freshness.
-    live = world.registry.live
-    if set(live) & world.registry.tombstones:
-        out.append(_violation("I7", "realm id both live and tombstoned"))
-    for rid in set(live) | world.registry.tombstones:
-        if not 1 <= rid < world.registry.next_id:
-            out.append(_violation("I7", f"realm id {rid} outside counter range"))
-    for rid, rd in live.items():
-        realm = world.realms.get(rd)
-        if realm is None or realm.realm_id != rid:
-            out.append(_violation("I7", f"registry entry {rid} inconsistent"))
-    for rd, realm in world.realms.items():
-        if live.get(realm.realm_id) != rd:
-            out.append(_violation(
-                "I7", f"descriptor at granule {rd} names realm "
-                      f"{realm.realm_id}, which is not live there"))
-    csm_ids = [e.csm_id for realm in realms if realm.apt
-               for e in realm.apt.providers]
-    if len(csm_ids) != len(set(csm_ids)):
-        out.append(_violation("I7", "duplicate region identifiers"))
-    for cid in csm_ids:
-        if not 1 <= cid < world.next_csm_id:
-            out.append(_violation("I7", f"region id {cid} outside counter range"))
+    _check_ids(out, world, world.registry.live.keys() | world.registry.tombstones,
+               realms)
 
     return out
 
@@ -243,42 +221,72 @@ def _check_tags(out: list, grans) -> None:
                 "I6", f"undelegated granule {index} tagged {g.pas.value}"))
 
 
+def _check_ids(out: list, world, rids, realms, floor: int = 1,
+               held: dict | None = None) -> None:
+    """I7 over realm ids and the region ids of ``realms`` (None skipped):
+    ids are below their counters; a live realm id is not retired and names
+    a descriptor that names it, one per live id; a region id is held once
+    and, if below ``floor``, by the realm ``held`` (realm id -> ids) names."""
+    reg, seen = world.registry, set()
+    if len(world.realms) != len(reg.live):
+        out.append(_violation("I7", "descriptor and live id counts differ"))
+    for rid in rids:
+        if not 1 <= rid < reg.next_id:
+            out.append(_violation("I7", f"realm id {rid} outside counter range"))
+        realm = world.realms.get(reg.live.get(rid))
+        if rid in reg.live and (rid in reg.tombstones or realm is None or
+                                realm.realm_id != rid):
+            out.append(_violation("I7", f"registry entry {rid} inconsistent"))
+    for realm in realms:
+        for e in realm.apt.providers if realm and realm.apt else ():
+            cid = e.csm_id
+            if cid in seen:
+                out.append(_violation("I7", f"region id {cid} held twice"))
+            if not 1 <= cid < world.next_csm_id:
+                out.append(_violation("I7", f"region id {cid} outside counter range"))
+            elif cid < floor and cid not in held.get(realm.realm_id, ()):
+                out.append(_violation("I7", f"region id {cid} reissued"))
+            seen.add(cid)
+
+
 # ------------------------------------------------------------ incremental
 
 class _Index:
     """What the incremental pass must know of the last clean state, built
     from raw state and updated after each clean pass: per touched mapping
     for the mapping tables, per touched sharing for the windows and per
-    touched realm for the region ids."""
+    touched realm for the region ids, which were all below ``floor``."""
 
     def __init__(self, world):
-        self.realms = {r.realm_id: r for r in world.realms.values()}
         self.maps = {}       # realm id -> {ipa: pa}
         self.by_pa = {}      # pa -> {(realm id, ipa)} mapping it
-        self.regions = {}    # region id -> provider realm id
+        self.regions = {}    # realm id -> ids of the regions it provides
         self.windows = {}    # sharing id -> [(realm id, base, size)] attached
-        for rid, realm in self.realms.items():
+        self.floor = world.next_csm_id
+        for realm in world.realms.values():
+            rid = realm.realm_id
             maps = self.maps[rid] = {}
             for ipa, entry in realm.rtt.entries.items():
                 maps[ipa] = entry.pa
                 self.by_pa.setdefault(entry.pa, set()).add((rid, ipa))
-            for e in realm.apt.providers if realm.apt else ():
-                self.regions[e.csm_id] = rid
+            self.regions[rid] = {e.csm_id for e in
+                                 (realm.apt.providers if realm.apt else ())}
             for w in realm.apt.consumers if realm.apt else ():
                 if w.state is WindowState.ATTACHED:
                     self.windows.setdefault(w.sharing_id, []).append(
                         (rid, w.base, w.size))
 
-    def update(self, realms: dict, maps: set, rids: set, windows: dict) -> None:
-        """Take in a clean pass over ``realms``: the touched mappings and
+    def update(self, world, maps: set, rids: set, windows: dict) -> None:
+        """Take in a clean pass over ``world``: the touched mappings and
         realms, and the attached window spans of each touched sharing."""
-        self.realms = realms
+        live, descs = world.registry.live, world.realms
+        self.floor = world.next_csm_id
         for rid, ipa in maps:
             own = self.maps.setdefault(rid, {})
             old = own.pop(ipa, None)
             if old is not None:
                 self.by_pa[old].discard((rid, ipa))
-            realm = realms.get(rid)
+            realm = descs.get(live.get(rid))
             entry = realm.rtt.entries.get(ipa) if realm is not None else None
             if entry is not None:
                 own[ipa] = entry.pa
@@ -287,23 +295,22 @@ class _Index:
             spans += [w for w in self.windows.pop(sid, ()) if w[0] != rid]
             if spans:
                 self.windows[sid] = spans
-        if rids:
-            self.regions = {cid: rid for cid, rid in self.regions.items()
-                            if rid not in rids}
         for rid in rids:
-            realm = realms.get(rid)
+            realm = descs.get(live.get(rid))
             if realm is None:
+                self.regions.pop(rid, None)
                 for ipa, pa in self.maps.pop(rid, {}).items():
                     self.by_pa[pa].discard((rid, ipa))
-            for e in realm.apt.providers if realm and realm.apt else ():
-                self.regions[e.csm_id] = rid
+            else:
+                self.regions[rid] = {e.csm_id for e in
+                                     (realm.apt.providers if realm.apt else ())}
 
 
 class _Baseline:
-    """The last world found clean: a weak reference, so a finished world's
-    granules are freed (the indexes hold on to its realm descriptors until
-    another world takes the slot), the lengths of its ``History`` lists,
-    and the indexes, built on that world's second check."""
+    """The last world found clean: a weak reference, so a finished world is
+    freed (the indexes hold ids, addresses and spans, never its objects),
+    the lengths of its ``History`` lists, and the indexes, built on that
+    world's second check."""
 
     __slots__ = ("world", "lengths", "index")
 
@@ -340,13 +347,10 @@ def check_invariants(world) -> list[dict]:
         maps, world.touched_maps = world.touched_maps, set()
         sids, world.touched_sharings = world.touched_sharings, set()
         rids, world.touched_realms = world.touched_realms, set()
-        # Only a logged registry edit adds or drops a realm.
-        realms = base.index.realms if not rids else \
-            {r.realm_id: r for r in world.realms.values()}
-        windows = _clean_since(world, base, realms, grans, maps, sids, rids)
+        windows = _clean_since(world, base, grans, maps, sids, rids)
         if windows is not None:
             base.lengths = lengths
-            base.index.update(realms, maps, rids, windows)
+            base.index.update(world, maps, rids, windows)
             _baseline = base
             return []
     # The reference reads everything, so the touch log starts afresh.
@@ -360,8 +364,8 @@ def check_invariants(world) -> list[dict]:
     return out
 
 
-def _clean_since(world, base: _Baseline, realms: dict, grans: set,
-                 maps: set, sids: set, rids: set) -> dict | None:
+def _clean_since(world, base: _Baseline, grans: set, maps: set, sids: set,
+                 rids: set) -> dict | None:
     """The attached windows of each touched (realm id, sharing id), for the
     index, if the items changed since ``base`` still satisfy I1-I7, else
     None.
@@ -403,36 +407,22 @@ def _clean_since(world, base: _Baseline, realms: dict, grans: set,
     I1 has no pass of its own: a protected mapping that I1 flags maps a
     granule its realm does not own without covering records, which I5
     flags too unless I6 already did. So when I5 and I6 find nothing over
-    all protected mappings, I1 finds nothing either. I7 reads only the
-    registry, the descriptors and the region ids, so it runs over the
-    touched realms.
+    all protected mappings, I1 finds nothing either. I7 reads the registry,
+    the descriptors and the region ids, which only logged registry and
+    policy-table edits change, so it runs over the touched realm ids (and
+    the descriptor count on every pass). An untouched realm still holds
+    the region ids it held at the baseline, all below the baseline's region
+    counter (the floor), so a touched realm's id clashes with none of them
+    if it is at or above the floor or the realm held it at the baseline.
+    Any other is a finding, and the reference decides.
     """
-    hist, idx, reg = world.history, base.index, world.registry
-    # I7: each touched realm id's descriptor is the one its live entry
-    # names, and no other descriptor holds the id; its region ids are fresh.
-    if len(realms) != len(world.realms):
-        return None
-    fresh = set()
-    for rid in rids:
-        if rid in reg.live and rid in reg.tombstones:
-            return None
-        if (rid in reg.live or rid in reg.tombstones) and \
-                not 1 <= rid < reg.next_id:
-            return None
-        realm, live = realms.get(rid), world.realms.get(reg.live.get(rid))
-        if realm is not live or (realm is None and rid in reg.live):
-            return None
-        if realm is None or realm.apt is None:
-            continue
-        for e in realm.apt.providers:
-            cid = e.csm_id
-            if cid in fresh or not 1 <= cid < world.next_csm_id or \
-                    idx.regions.get(cid, rid) not in rids:
-                return None
-            fresh.add(cid)
-
-    n_acc, n_inv, n_flush = base.lengths
+    hist, idx = world.history, base.index
+    live, descs = world.registry.live, world.realms
     out = []
+    if rids or len(descs) != len(live):
+        _check_ids(out, world, rids, [descs.get(live.get(rid)) for rid in rids],
+                   idx.floor, idx.regions)
+    n_acc, n_inv, n_flush = base.lengths
     # I3 and I4 over the new rows: the baseline's were clean, and it was
     # balanced, so the whole is balanced exactly when the new rows are.
     _check_accesses(out, hist.accesses[n_acc:])
@@ -444,7 +434,7 @@ def _clean_since(world, base: _Baseline, realms: dict, grans: set,
     windows = {}        # (realm id, sharing id) -> its attached windows
 
     def records(rid: int, sid: tuple) -> None:
-        realm = realms.get(rid)
+        realm = descs.get(live.get(rid))
         for e in realm.apt.providers if realm and realm.apt else ():
             for s in e.shares:
                 if s.attached and s.sharing_id == sid:
@@ -454,7 +444,7 @@ def _clean_since(world, base: _Baseline, realms: dict, grans: set,
     for rid, sid in sids:
         for holder, w_base, size in idx.windows.get(sid, ()):
             visit.update((holder, ipa) for ipa in ipa_span(w_base, size))
-        realm = realms.get(rid)
+        realm = descs.get(live.get(rid))
         spans = windows[rid, sid] = []
         for w in realm.apt.consumers if realm and realm.apt else ():
             if w.sharing_id == sid:
@@ -470,7 +460,7 @@ def _clean_since(world, base: _Baseline, realms: dict, grans: set,
         old = idx.maps.get(rid, {}).get(ipa)
         if old is not None:
             pas.add(old)
-        realm = realms.get(rid)
+        realm = descs.get(live.get(rid))
         if realm is None:
             continue
         entry = realm.rtt.entries.get(ipa)
@@ -489,7 +479,7 @@ def _clean_since(world, base: _Baseline, realms: dict, grans: set,
             if ref in maps:
                 continue
             rid, ipa = ref
-            realm = realms.get(rid)
+            realm = descs.get(live.get(rid))
             entry = realm.rtt.entries.get(ipa) if realm else None
             # An untouched mapping cannot have changed: if it did, a touch
             # went unlogged, and the reference decides.
@@ -497,7 +487,7 @@ def _clean_since(world, base: _Baseline, realms: dict, grans: set,
                 return None
             visit.add(ref)
     for rid, ipa in visit:
-        realm = realms.get(rid)
+        realm = descs.get(live.get(rid))
         entry = realm.rtt.entries.get(ipa) if realm is not None else None
         if entry is not None:
             _check_mapping(out, world, realm, ipa, entry)

@@ -68,7 +68,6 @@ ACCESS_KINDS = ("read", "write")
 class Lifecycle(Enum):
     NEW = "new"
     ACTIVE = "active"
-    DESTROYED = "destroyed"
 
 
 class RttEntry(NamedTuple):
@@ -516,8 +515,6 @@ class World:
         """Full teardown: shared regions destroyed, attachments detached,
         every owned granule wiped back to delegated, identifier tombstoned."""
         realm = self.realm_at(rd)
-        if realm.lifecycle is Lifecycle.DESTROYED:
-            raise BadState("realm already destroyed")
         realm.tearing_down = True
         self.touched_realms.add(realm.realm_id)
         if realm.apt is not None:
@@ -541,7 +538,6 @@ class World:
             self.granules.release(realm.rec.rec_granule)
             realm.rec = None
         self.granules.release(rd)
-        realm.lifecycle = Lifecycle.DESTROYED
         self.registry.retire(realm.realm_id)
         del self.realms[rd]
 

@@ -202,9 +202,16 @@ def test_owner_expectation_rejects_what_the_monitor_refuses(args, tmp_path,
                 "args": {"granule": 0, "kind": "Write", "data": "41"}}]},
     {"steps": [{"actor": "realm:R", "op": "realm_access",
                 "args": {"ipa": 0, "kind": "Write", "data": "41"}}]},
+    {"steps": [{"actor": "realm:R", "op": "realm_access",
+                "args": {"ipa": 0, "kind": "read", "lenght": 4}}]},
+    {"steps": [{"op": "granule_delegate", "args": {"granule": 1, "granuel": 2}}]},
+    {"steps": [{"op": "world_stats", "args": {"verbose": 1}}]},
+    {"policy": "prober",
+     "steps": [{"op": "adversarial_step", "args": {"rd": 0, "granule": 3}}]},
 ], ids=["granule", "probe_rd", "granules", "seed", "negative_seed", "data",
         "content", "bool", "image", "token", "sharing", "physical_kind",
-        "realm_kind"])
+        "realm_kind", "unknown_access_arg", "unknown_host_arg",
+        "arg_of_argless_op", "unknown_probe_arg"])
 def test_run_wrong_argument_type_is_usage_error(doc, tmp_path, capsys):
     bind = [{"op": "granule_delegate", "args": {"granule": 0}},
             {"op": "rmi_realm_create", "args": {"rd": 0}, "bind": "R"}]

@@ -16,6 +16,7 @@ from csmsim.explorer import (
     operational_matrix,
     oracle_mismatches,
 )
+from csmsim.errors import ParseError
 from csmsim.granules import GranuleState, PasTag, SecurityState
 from csmsim.harness import execute_step
 from csmsim.host import Host, HostPolicy
@@ -56,6 +57,13 @@ def test_mutant_attach_size_check_caught_quickly():
     # The oversized window maps provider-private granules: a disjointness
     # and consent breach.
     assert codes & {"I1", "I5"}
+
+
+def test_a_misspelt_mutant_is_refused():
+    """An unknown check name would otherwise run an unmutated exploration."""
+    with pytest.raises(ParseError, match="attach_size_eqality"):
+        explore(ExplorationConfig(depth=4,
+                                  disabled_checks=("attach_size_eqality",)))
 
 
 def test_low_level_host_commands_clean():

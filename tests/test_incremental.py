@@ -514,14 +514,40 @@ def descriptor_duplicated(world, coop):
     return corrupt
 
 
+def descriptor_overwritten(world, coop):
+    """A realm's descriptor granule made to hold another live realm's
+    descriptor: the overwritten realm's entry changed, so the log names it."""
+    rid = build_realm(world, 0)
+    other = build_realm(world, 8)
+
+    def corrupt():
+        world.realms[8] = world.realm_by_id(rid)
+        world.touched_realms.add(other)
+    return corrupt
+
+
+def region_id_taken(world, coop):
+    """A realm gains a region id that another, untouched realm holds."""
+    p = build_realm(world, 0)
+    q = build_realm(world, 8)
+    csm = rsi(world, coop, p, "rsi_csm_create", base=0x2000, size=1)
+    rsi(world, coop, q, "rsi_csm_create", base=0x2000, size=1)
+
+    def corrupt():
+        world.realm_by_id(q).apt.providers.append(
+            ProviderEntry(csm_id=csm, base=0x8000, size=1))
+        world.touched_realms.add(q)
+    return corrupt
+
+
 CORRUPTIONS = [
     foreign_mapping, single_foreign_mapping, view_divergence, window_permission,
     share_permission, record_dropped, region_dropped, record_detached,
     window_reserved, window_removed, window_shadowed, window_duplicated,
     record_misplaced, provider_remap, remap_behind_a_second_window,
     released_while_mapped, missing_flush, illegal_access, wrong_backing,
-    wrong_tag, duplicate_region_id, registry_inconsistency, zombie_descriptor,
-    descriptor_duplicated]
+    wrong_tag, duplicate_region_id, region_id_taken, registry_inconsistency,
+    zombie_descriptor, descriptor_duplicated, descriptor_overwritten]
 
 
 @pytest.mark.parametrize("setup", CORRUPTIONS, ids=lambda f: f.__name__)
@@ -608,7 +634,7 @@ def test_a_step_that_only_adds_history_rows_is_checked(world, coop,
 def rule_calls(world, monkeypatch, step) -> Counter:
     """The rule and reference calls of the check after ``step()``."""
     calls = Counter()
-    for name in ("_check_mapping", "_check_sharing", "check_all"):
+    for name in ("_check_mapping", "_check_sharing", "_check_ids", "check_all"):
         rule = getattr(invariants, name)
 
         def counted(*args, rule=rule, name=name):
@@ -691,6 +717,49 @@ def test_a_policy_edit_checks_the_same_work_whatever_the_provider_shares(
                          Counter({"_check_mapping": 2, "_check_sharing": 1}),
                          Counter({"_check_mapping": 1})]
     assert counts[1] == counts[0]
+
+
+def region_work(others: int, monkeypatch) -> tuple:
+    """For two region creates and the destroy of the first by a realm
+    beside ``others`` providers: the rule calls of the check after each,
+    and the realm ids and region ids that its I7 calls visit."""
+    world = World(granule_count=256, seed=0)
+    coop = Host(HostPolicy.COOPERATIVE)
+    p, *rest = [build_realm(world, 4 * k) for k in range(others + 1)]
+    for q in rest:
+        rsi(world, coop, q, "rsi_csm_create", base=0x2000, size=1)
+    assert check_invariants(world) == []
+    assert check_invariants(world) == []   # builds the indexes
+    csm = world.next_csm_id
+    steps = [("rsi_csm_create", {"base": 0x2000, "size": 1}),
+             ("rsi_csm_create", {"base": 0x3000, "size": 1}),
+             ("rsi_csm_destroy", {"csm": csm})]
+    work = []
+    for op, args in steps:
+        visited, check_ids = [], invariants._check_ids
+
+        def spy(out, world, rids, realms, *rest):
+            realms = list(realms)
+            visited.append((sorted(rids), [e.csm_id for r in realms if r
+                                            for e in r.apt.providers]))
+            return check_ids(out, world, rids, realms, *rest)
+        monkeypatch.setattr(invariants, "_check_ids", spy)
+        calls = rule_calls(world, monkeypatch,
+                           lambda: rsi(world, coop, p, op, **args))
+        work.append((calls, visited))
+    return work, p, csm
+
+
+@pytest.mark.parametrize("others", [1, 16])
+def test_a_region_create_or_destroy_checks_only_the_callers_ids(others,
+                                                                monkeypatch):
+    """I7 visits the caller's realm id and its region ids, whatever the
+    other realms provide, and the reference does not run: the second
+    create finds the first region in the index."""
+    work, p, csm = region_work(others, monkeypatch)
+    create = Counter({"_check_ids": 1, "_check_mapping": 1})
+    assert work == [(create, [([p], [csm])]), (create, [([p], [csm, csm + 1])]),
+                    (Counter({"_check_ids": 1}), [([p], [csm + 1])])]
 
 
 def load_generator():
