@@ -12,8 +12,10 @@ is a rendezvous requiring both sides' explicit consent:
 
 Share and reserve may happen in either order; attach requires both records.
 
-Every realm carries one access policy table (APT) granule recording one
-entry per shared region it participates in. The table keeps the two kinds
+Every realm holds one access policy table (APT) from its creation,
+recording one entry per shared region it participates in. The realm's
+``apt_granule`` marks the granule backing the table: commands use the
+table only once the host has assigned one. The table keeps the two kinds
 in two lists, each in insertion order: the regions it provides and the
 windows it consumes through. Entries of one realm never overlap, whatever
 their kind. Capacity is 128 entries of both kinds together per table
@@ -35,7 +37,6 @@ from .errors import (
     CapacityExceeded,
     NoApt,
     NoSuchCsm,
-    NoSuchRealm,
     NoSuchSharing,
     NotOwner,
     NotReserved,
@@ -175,7 +176,7 @@ def ipa_span(base: int, size: int) -> range:
 
 
 def _require_apt(realm) -> Apt:
-    if realm.apt is None:
+    if realm.apt_granule is None:
         raise NoApt(f"realm {realm.realm_id} has no policy table")
     return realm.apt
 
@@ -189,8 +190,6 @@ def find_share(world, sharing_id: tuple):
     if p_id not in world.registry.live:
         return None, None, None
     p_realm = world.realm_by_id(p_id)
-    if p_realm.apt is None:
-        return None, None, None
     for entry in p_realm.apt.providers:
         for record in entry.shares:
             if record.sharing_id == sharing_id:
@@ -207,7 +206,7 @@ def _find_owned_csm(world, caller_id: int, csm_id: int):
     if entry is not None:
         return caller, entry
     for realm in world.realms.values():
-        if realm.apt and realm.apt.provider_entry(csm_id):
+        if realm.apt.provider_entry(csm_id):
             raise NotOwner(f"region {csm_id} belongs to realm {realm.realm_id}")
     raise NoSuchCsm(f"region {csm_id}")
 
@@ -324,10 +323,9 @@ def revoke_share(world, p_entry: ProviderEntry, record: ShareRecord) -> None:
     """Provider-initiated removal of one consumer's access."""
     if record.c_id in world.registry.live:
         c_realm = world.realm_by_id(record.c_id)
-        if c_realm.apt is not None:
-            c_entry = c_realm.apt.find_by_sharing_id(record.sharing_id)
-            if c_entry is not None:
-                _tear_down_window(world, c_realm, c_entry)
+        c_entry = c_realm.apt.find_by_sharing_id(record.sharing_id)
+        if c_entry is not None:
+            _tear_down_window(world, c_realm, c_entry)
     p_entry.shares.remove(record)
     world.touched_sharings.add((record.sharing_id[0], record.sharing_id))
 

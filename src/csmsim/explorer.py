@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 
 from .csm import DISABLEABLE_CHECKS
 from .errors import ParseError
-from .granules import GRANULE_SIZE, GranuleState, SecurityState
+from .granules import GRANULE_SIZE, MAX_GRANULES, GranuleState, SecurityState
 from .harness import execute_step
 from .host import Host, HostPolicy
 from .invariants import _ACCESS_RULE, check_invariants
@@ -130,8 +130,8 @@ def enabled_commands(world: World, cfg: ExplorationConfig) -> list:
                 for size in range(1, cfg.csm_max_size + 1):
                     out.append((f"create(r{rid},{base:#x},{size})", actor,
                                 "rsi_csm_create", {"base": base, "size": size}))
-        p_entries = realm.apt.providers if realm.apt else []
-        c_entries = realm.apt.consumers if realm.apt else []
+        p_entries = realm.apt.providers
+        c_entries = realm.apt.consumers
         if "csm_share" in want:
             for e in p_entries:
                 for peer in live:
@@ -181,7 +181,7 @@ def _reservable_sids(world: World, rid: int, live: list) -> list:
         if peer == rid:
             continue
         p_realm = world.realm_by_id(peer)
-        if p_realm.apt is None:
+        if p_realm.apt_granule is None:
             continue
         for e in p_realm.apt.providers:
             for record in e.shares:
@@ -246,8 +246,8 @@ def canonical_state(world: World) -> tuple:
     realms = []
     for rd in sorted(world.realms):
         r = world.realms[rd]
-        apt = None
-        if r.apt is not None:
+        apt = None   # no table granule, as distinct from an empty table
+        if r.apt_granule is not None:
             entries = []
             for e in r.apt.providers:
                 shares = tuple((s.sharing_id, s.perm._value_, s.attached)
@@ -402,6 +402,8 @@ def explore(cfg: ExplorationConfig) -> ExplorationReport:
     if not set(cfg.disabled_checks) <= set(DISABLEABLE_CHECKS):
         raise ParseError(f"disabled_checks must be among {DISABLEABLE_CHECKS}, "
                          f"not {cfg.disabled_checks!r}")
+    if cfg.realm_count * 4 + cfg.granule_count > MAX_GRANULES:
+        raise ParseError(f"a world holds at most {MAX_GRANULES} granules")
     report = ExplorationReport()
     init = build_initial_world(cfg)
     # Entries are (world, path, whether its oracle check found nothing).

@@ -30,6 +30,8 @@ from .errors import BadState, OutOfRange
 
 GRANULE_SIZE = 4096
 ZERO_GRANULE = bytes(GRANULE_SIZE)
+# The most granules a world read from input may hold: 4 GiB of memory.
+MAX_GRANULES = 1 << 20
 
 
 class PasTag(Enum):

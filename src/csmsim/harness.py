@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from . import attestation, csm
 from .csm import PENDING
 from .errors import ParseError, SimError
-from .granules import SecurityState
+from .granules import MAX_GRANULES, SecurityState
 from .host import PROBES, Host, HostPolicy
 from .invariants import check_all, check_invariants
 from .rmm import ACCESS_KINDS, World
@@ -255,6 +255,8 @@ def parse_scenario(obj: dict, name: str = "<inline>") -> Scenario:
         if not isinstance(raw, dict):
             raise ParseError(f"{where}: not an object")
         actor = raw.get("actor", "host")
+        if not isinstance(actor, str):
+            raise ParseError(f"{where}: actor must be a string, not {actor!r}")
         kind, _, alias = actor.partition(":")
         if kind not in ("host", "root", "secure", "realm", "owner"):
             raise ParseError(f"{where}: unknown actor {actor!r}")
@@ -263,8 +265,10 @@ def parse_scenario(obj: dict, name: str = "<inline>") -> Scenario:
                 raise ParseError(f"{where}: actor {actor!r} missing alias")
             if alias not in bound:
                 raise ParseError(f"{where}: actor alias {alias!r} not bound yet")
+        elif alias:
+            raise ParseError(f"{where}: actor {actor!r} takes no alias")
         op = raw.get("op")
-        if op not in OPS:
+        if not isinstance(op, str) or op not in OPS:
             raise ParseError(f"{where}: unknown op {op!r}")
         actors, required, _ = OPS[op]
         if kind not in actors:
@@ -288,13 +292,16 @@ def parse_scenario(obj: dict, name: str = "<inline>") -> Scenario:
         _check_expect(expect, where)
         bind = raw.get("bind")
         if bind is not None:
+            if not isinstance(bind, str):
+                raise ParseError(f"{where}: bind must be a string, not {bind!r}")
             bound.add(bind)
         steps.append(ScenarioStep(actor=actor, op=op, args=args,
                                   expect=expect, bind=bind))
     seed, granules = obj.get("seed", 0), obj.get("granules", 64)
     check_seed(seed)
-    if not _is_int(granules) or granules < 1:
-        raise ParseError(f"granules must be a positive integer, not {granules!r}")
+    if not _is_int(granules) or not 1 <= granules <= MAX_GRANULES:
+        raise ParseError(f"granules must be an integer in [1, {MAX_GRANULES}], "
+                         f"not {granules!r}")
     return Scenario(name=obj.get("name", name), steps=steps, seed=seed,
                     policy=policy, granules=granules)
 

@@ -77,8 +77,6 @@ def _violation(code: str, detail: str) -> dict:
 def _consumer_coverage(world, realm, ipa: int, pa: int) -> bool:
     """Is realm's mapping of someone else's granule justified by an attached,
     consented, offset-correct sharing?"""
-    if realm.apt is None:
-        return False
     c_entry = realm.apt.find_consumer_covering(ipa)
     if c_entry is None or c_entry.state is not WindowState.ATTACHED:
         return False
@@ -118,7 +116,7 @@ def check_all(world) -> list[dict]:
 
     # I2: attached sharings show identical physical sequences.
     for realm in realms:
-        for p_entry in realm.apt.providers if realm.apt else ():
+        for p_entry in realm.apt.providers:
             for record in p_entry.shares:
                 if record.attached:
                     _check_sharing(out, world, realm, p_entry, record)
@@ -149,8 +147,7 @@ def _check_sharing(out: list, world, p_realm, p_entry, record) -> None:
             "I2", f"sharing {record.sharing_id} attached to dead realm"))
         return
     c_realm = world.realm_by_id(record.c_id)
-    c_entry = (c_realm.apt.find_by_sharing_id(record.sharing_id)
-               if c_realm.apt else None)
+    c_entry = c_realm.apt.find_by_sharing_id(record.sharing_id)
     if c_entry is None or c_entry.state is not WindowState.ATTACHED:
         out.append(_violation(
             "I2", f"sharing {record.sharing_id} lacks attached window"))
@@ -238,7 +235,7 @@ def _check_ids(out: list, world, rids, realms, floor: int = 1,
                                 realm.realm_id != rid):
             out.append(_violation("I7", f"registry entry {rid} inconsistent"))
     for realm in realms:
-        for e in realm.apt.providers if realm and realm.apt else ():
+        for e in realm.apt.providers if realm else ():
             cid = e.csm_id
             if cid in seen:
                 out.append(_violation("I7", f"region id {cid} held twice"))
@@ -269,9 +266,8 @@ class _Index:
             for ipa, entry in realm.rtt.entries.items():
                 maps[ipa] = entry.pa
                 self.by_pa.setdefault(entry.pa, set()).add((rid, ipa))
-            self.regions[rid] = {e.csm_id for e in
-                                 (realm.apt.providers if realm.apt else ())}
-            for w in realm.apt.consumers if realm.apt else ():
+            self.regions[rid] = {e.csm_id for e in realm.apt.providers}
+            for w in realm.apt.consumers:
                 if w.state is WindowState.ATTACHED:
                     self.windows.setdefault(w.sharing_id, []).append(
                         (rid, w.base, w.size))
@@ -302,8 +298,7 @@ class _Index:
                 for ipa, pa in self.maps.pop(rid, {}).items():
                     self.by_pa[pa].discard((rid, ipa))
             else:
-                self.regions[rid] = {e.csm_id for e in
-                                     (realm.apt.providers if realm.apt else ())}
+                self.regions[rid] = {e.csm_id for e in realm.apt.providers}
 
 
 class _Baseline:
@@ -435,7 +430,7 @@ def _clean_since(world, base: _Baseline, grans: set, maps: set, sids: set,
 
     def records(rid: int, sid: tuple) -> None:
         realm = descs.get(live.get(rid))
-        for e in realm.apt.providers if realm and realm.apt else ():
+        for e in realm.apt.providers if realm else ():
             for s in e.shares:
                 if s.attached and s.sharing_id == sid:
                     sharings[id(s)] = (realm, e, s)
@@ -446,7 +441,7 @@ def _clean_since(world, base: _Baseline, grans: set, maps: set, sids: set,
             visit.update((holder, ipa) for ipa in ipa_span(w_base, size))
         realm = descs.get(live.get(rid))
         spans = windows[rid, sid] = []
-        for w in realm.apt.consumers if realm and realm.apt else ():
+        for w in realm.apt.consumers if realm else ():
             if w.sharing_id == sid:
                 visit.update((rid, ipa) for ipa in ipa_span(w.base, w.size))
                 if w.state is WindowState.ATTACHED:
@@ -466,11 +461,11 @@ def _clean_since(world, base: _Baseline, grans: set, maps: set, sids: set,
         entry = realm.rtt.entries.get(ipa)
         if entry is not None:
             pas.add(entry.pa)
-        for e in realm.apt.providers if realm.apt else ():
+        for e in realm.apt.providers:
             if e.base <= ipa < e.base + e.size * GRANULE_SIZE:
                 sharings.update((id(s), (realm, e, s))
                                 for s in e.shares if s.attached)
-        for w in realm.apt.consumers if realm.apt else ():
+        for w in realm.apt.consumers:
             if w.state is WindowState.ATTACHED and \
                     w.base <= ipa < w.base + w.size * GRANULE_SIZE:
                 records(w.sharing_id[0], w.sharing_id)

@@ -99,8 +99,10 @@ class RealmDescriptor:
     ipa_width: int
     lifecycle: Lifecycle = Lifecycle.NEW
     rim: bytes = b""
+    # The policy table exists from creation; ``apt_granule`` is the granule
+    # backing it, None until ``rmi_apt_create`` and after ``rmi_apt_destroy``.
     apt_granule: int | None = None
-    apt: Apt | None = None
+    apt: Apt = field(default_factory=Apt)
     rtt: Rtt = field(default_factory=Rtt)
     rec: Rec | None = None
     # Peer identifiers provisioned by this realm's owner after attestation.
@@ -247,7 +249,7 @@ class World:
         """Yield (peer, peer ipa, perm) for every consumer attached to the
         provider region covering ``ipa``, in share order; nothing outside
         a region. Lazy, so a caller can stop at the first peer it rejects."""
-        pentry = realm.apt.find_provider_covering(ipa) if realm.apt else None
+        pentry = realm.apt.find_provider_covering(ipa)
         if pentry is None:
             return
         offset = ipa - pentry.base
@@ -381,24 +383,22 @@ class World:
         realm = self.realm_at(rd)
         if realm.lifecycle is not Lifecycle.NEW:
             raise BadState("policy table created during initialization only")
-        if realm.apt is not None:
+        if realm.apt_granule is not None:
             raise AlreadyExists("realm already has a policy table")
         self.granules.retag(apt_granule, GranuleState.APT, realm.realm_id)
         realm.apt_granule = apt_granule
-        realm.apt = Apt()
         self.touched_realms.add(realm.realm_id)
 
     def rmi_apt_destroy(self, rd: int, apt_granule: int) -> None:
         realm = self.realm_at(rd)
         if not realm.tearing_down:
             raise BadState("policy table destroyed during realm destruction only")
-        if realm.apt is None or realm.apt_granule != apt_granule:
+        if realm.apt_granule != apt_granule:
             raise BadState(f"granule {apt_granule} is not this realm's policy table")
         left = len(realm.apt.providers) + len(realm.apt.consumers)
         if left:
             raise NotEmpty(f"{left} policy entries remain")
         self.granules.release(apt_granule)
-        realm.apt = None
         realm.apt_granule = None
 
     def rmi_rtt_create(self, rd: int, rtt_granule: int, ipa: int) -> None:
@@ -455,7 +455,7 @@ class World:
             raise AlreadyMapped(f"granule {data_granule} in state {gran.state.value}")
         if ipa in realm.rtt.entries:
             raise AlreadyMapped(f"ipa {ipa:#x}")
-        if realm.apt and realm.apt.find_consumer_covering(ipa) is not None:
+        if realm.apt.find_consumer_covering(ipa) is not None:
             raise BadState(f"ipa {ipa:#x} lies in a consumer window")
         # Inside a provider region, attached peers receive the same mapping
         # at the corresponding offset. Validate all targets first; the
@@ -507,7 +507,7 @@ class World:
         realm = self.realm_at(rd)
         if realm.lifecycle is not Lifecycle.NEW:
             raise BadState(f"realm is {realm.lifecycle.value}")
-        if realm.apt is None:
+        if realm.apt_granule is None:
             raise MissingApt("realm has no policy table")
         realm.lifecycle = Lifecycle.ACTIVE
 
@@ -517,11 +517,10 @@ class World:
         realm = self.realm_at(rd)
         realm.tearing_down = True
         self.touched_realms.add(realm.realm_id)
-        if realm.apt is not None:
-            for entry in list(realm.apt.providers):
-                destroy_region(self, realm, entry)
-            for entry in list(realm.apt.consumers):
-                detach_window(self, realm, entry)
+        for entry in list(realm.apt.providers):
+            destroy_region(self, realm, entry)
+        for entry in list(realm.apt.consumers):
+            detach_window(self, realm, entry)
         # Remaining mappings are private data or unprotected normal-world
         # pages; unmap them all (with flushes) and reclaim owned granules.
         for ipa in sorted(realm.rtt.entries):
@@ -532,7 +531,7 @@ class World:
         for block in sorted(realm.rtt.backed):
             self.granules.release(realm.rtt.backed[block])
         realm.rtt = Rtt()
-        if realm.apt is not None:
+        if realm.apt_granule is not None:
             self.rmi_apt_destroy(rd, realm.apt_granule)
         if realm.rec is not None:
             self.granules.release(realm.rec.rec_granule)
@@ -620,10 +619,9 @@ def _copy_json(value):
 def _clone_realm(realm: RealmDescriptor) -> RealmDescriptor:
     new = _shallow(realm)
     new.rtt = Rtt(dict(realm.rtt.entries), dict(realm.rtt.backed))
-    if realm.apt is not None:
-        new.apt = Apt(list(map(_clone_provider, realm.apt.providers)),
-                      list(map(_shallow, realm.apt.consumers)),
-                      dict(realm.apt.share_counters))
+    new.apt = Apt(list(map(_clone_provider, realm.apt.providers)),
+                  list(map(_shallow, realm.apt.consumers)),
+                  dict(realm.apt.share_counters))
     new.peer_ids = list(realm.peer_ids)
     return new
 

@@ -85,8 +85,9 @@ def test_explore_mutant_fails(capsys):
     ["explore", "--depth", "1", "--seed", "-1"],
     ["bench", "--size", "8", "--iters", "0"],
     ["bench", "--size", "-1"],
+    ["explore", "--depth", "1", "--granules", str(1 << 62)],
 ], ids=["negative_granules", "granules_below_realms", "negative_realms",
-        "negative_seed", "zero_iters", "negative_size"])
+        "negative_seed", "zero_iters", "negative_size", "huge_granules"])
 def test_bad_numeric_option_is_usage_error(argv, capsys):
     assert main(argv) == 2
     err = capsys.readouterr().err
@@ -208,10 +209,16 @@ def test_owner_expectation_rejects_what_the_monitor_refuses(args, tmp_path,
     {"steps": [{"op": "world_stats", "args": {"verbose": 1}}]},
     {"policy": "prober",
      "steps": [{"op": "adversarial_step", "args": {"rd": 0, "granule": 3}}]},
+    {"steps": [{"actor": 5, "op": "world_stats"}]},
+    {"steps": [{"op": ["world_stats"]}]},
+    {"steps": [{"op": "world_stats", "bind": ["x"]}]},
+    {"steps": [{"actor": "host:foo", "op": "world_stats"}]},
+    {"granules": 1 << 62, "steps": [{"op": "world_stats"}]},
 ], ids=["granule", "probe_rd", "granules", "seed", "negative_seed", "data",
         "content", "bool", "image", "token", "sharing", "physical_kind",
         "realm_kind", "unknown_access_arg", "unknown_host_arg",
-        "arg_of_argless_op", "unknown_probe_arg"])
+        "arg_of_argless_op", "unknown_probe_arg", "actor_int", "op_list",
+        "bind_list", "world_actor_alias", "huge_granules"])
 def test_run_wrong_argument_type_is_usage_error(doc, tmp_path, capsys):
     bind = [{"op": "granule_delegate", "args": {"granule": 0}},
             {"op": "rmi_realm_create", "args": {"rd": 0}, "bind": "R"}]

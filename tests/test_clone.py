@@ -40,6 +40,16 @@ def initial_world() -> World:
     return build_initial_world(ExplorationConfig(granule_count=8))
 
 
+def tableless_world() -> World:
+    """The initial world plus a realm just created, without a policy table
+    granule."""
+    world = initial_world()
+    rd = world.granules.lowest_undelegated()
+    world.granule_delegate(rd)
+    world.rmi_realm_create(rd)
+    return world
+
+
 def rich_world() -> World:
     """Every kind of mutable state at once: an attached read-only window, a
     pending share, a suspended call, a tombstoned realm, provisioned peer
@@ -100,7 +110,8 @@ def snapshot(world: World) -> tuple:
     return canonical_state(world), copy.deepcopy(world.history)
 
 
-@pytest.mark.parametrize("make_world", [initial_world, rich_world])
+@pytest.mark.parametrize("make_world",
+                         [initial_world, tableless_world, rich_world])
 @settings(max_examples=30, deadline=None)
 @given(data=st.data())
 def test_clone_matches_deepcopy_and_leaves_parent_alone(make_world, data):

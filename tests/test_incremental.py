@@ -62,22 +62,21 @@ def sharing_view(world) -> dict:
     in table order."""
     out = {}
     for realm in world.realms.values():
-        for e in realm.apt.providers if realm.apt else ():
+        for e in realm.apt.providers:
             for s in e.shares:
                 out.setdefault((realm.realm_id, s.sharing_id), ([], []))[0] \
                     .append((e.csm_id, e.base, e.size, s.c_id, s.perm, s.attached))
-        for w in realm.apt.consumers if realm.apt else ():
+        for w in realm.apt.consumers:
             out.setdefault((realm.realm_id, w.sharing_id), ([], []))[1] \
                 .append((w.base, w.size, w.state))
     return out
 
 
 def policy_view(world) -> dict:
-    """Per realm id: whether it has a policy table, its region ids and its
+    """Per realm id: its policy table granule, its region ids and its
     registry entry."""
-    out = {realm.realm_id: (realm.apt is not None,
-                            [e.csm_id for e in realm.apt.providers]
-                            if realm.apt else [])
+    out = {realm.realm_id: (realm.apt_granule,
+                            [e.csm_id for e in realm.apt.providers])
            for realm in world.realms.values()}
     reg = world.registry
     return {rid: (out.get(rid), reg.live.get(rid), rid in reg.tombstones)
@@ -104,7 +103,7 @@ def host_commands(world) -> list:
     if free:
         out.append(("host", "rmi_realm_create", {"rd": free[0]}))
     for rd, realm in sorted(world.realms.items()):
-        if realm.apt is None and free:
+        if realm.apt_granule is None and free:
             out.append(("host", "rmi_apt_create", {"rd": rd, "granule": free[-1]}))
     return out
 
@@ -122,6 +121,17 @@ def ready_world():
     world.granule_delegate(rd)
     world.rmi_realm_create(rd)
     return world
+
+
+def test_host_commands_give_a_new_realm_its_policy_table():
+    """The generator below keeps issuing ``rmi_apt_create``: once a granule
+    is delegated, the realm ``ready_world`` created is offered its table."""
+    world = ready_world()
+    rd = world.registry.live[max(world.registry.live)]
+    free = world.granules.lowest_undelegated()
+    world.granule_delegate(free)
+    assert ("host", "rmi_apt_create", {"rd": rd, "granule": free}) \
+        in host_commands(world)
 
 
 @pytest.mark.parametrize("make_world", [initial_world, rich_world, ready_world])

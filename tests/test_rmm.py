@@ -41,7 +41,7 @@ def test_apt_create_rules(world):
     world.rmi_realm_create(0)
     world.granule_delegate(1)
     world.rmi_apt_create(0, 1)
-    assert world.realm_at(0).apt is not None
+    assert world.realm_at(0).apt_granule == 1
     apt = world.realm_at(0).apt
     assert apt.providers == [] and apt.consumers == []
     world.granule_delegate(5)
@@ -77,7 +77,7 @@ def test_apt_destroy_during_teardown_reclaims_granule(world):
     realm.tearing_down = True
     world.rmi_apt_destroy(0, 1)
     assert world.granules[1].state is GranuleState.DELEGATED
-    assert realm.apt is None
+    assert realm.apt_granule is None
 
 
 def test_rim_deterministic_across_identical_loads(world):
