@@ -19,7 +19,7 @@ import sys
 from .bench import MODES, append_csv, bench_run
 from .csm import DISABLEABLE_CHECKS
 from .errors import ParseError
-from .explorer import ExplorationConfig, explore
+from .explorer import MAX_CSM_SIZE, ExplorationConfig, explore
 from .host import HostPolicy
 from .harness import (RunConfig, builtin_scenarios, check_seed, load_scenario,
                       run_scenario)
@@ -27,6 +27,9 @@ from .harness import (RunConfig, builtin_scenarios, check_seed, load_scenario,
 EXIT_OK = 0
 EXIT_FAILURE = 1
 EXIT_USAGE = 2
+
+MAX_BENCH_SIZE = 64 << 20
+MAX_BENCH_ITERS = 10 ** 6
 
 
 def _run(scenario, args) -> int:
@@ -64,8 +67,8 @@ def _cmd_builtin(args) -> int:
 
 def _cmd_explore(args) -> int:
     # Each realm draws its private data granule from the free pool.
-    if not 0 <= args.realms <= args.granules:
-        raise ParseError(f"want 0 <= --realms <= --granules, not {args.realms} "
+    if args.realms > args.granules:
+        raise ParseError(f"want --realms <= --granules, not {args.realms} "
                          f"and {args.granules}")
     check_seed(args.seed)
     cfg = ExplorationConfig(realm_count=args.realms,
@@ -81,9 +84,6 @@ def _cmd_explore(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    if args.size < 0 or args.iters < 1:
-        raise ParseError(f"want --size >= 0 and --iters >= 1, not {args.size} "
-                         f"and {args.iters}")
     reports = []
     for mode in args.mode:
         report = bench_run(mode, args.size, args.iters, seed=args.seed)
@@ -96,6 +96,20 @@ def _cmd_bench(args) -> int:
         append_csv(args.csv, reports)
         print(f"appended {len(reports)} rows to {args.csv}")
     return EXIT_OK
+
+
+def _add_int(parser, flag: str, lo: int, hi: int | None = None, **kwargs) -> None:
+    """Add an integer option whose values must lie in [lo, hi], or be at
+    least lo when hi is None; any other value is a usage error, refused
+    before a command allocates anything for it."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < lo or (hi is not None and value > hi):
+            raise ParseError(f"{flag} must be an integer in [{lo}, "
+                             f"{'inf' if hi is None else hi}], not {value}")
+        return value
+    parse.__name__ = "int"  # argparse names the type in its own errors
+    parser.add_argument(flag, type=parse, **kwargs)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -123,22 +137,25 @@ def build_parser() -> argparse.ArgumentParser:
     p_builtin.set_defaults(fn=_cmd_builtin)
 
     p_explore = sub.add_parser("explore", help="bounded exhaustive exploration")
-    p_explore.add_argument("--realms", type=int, default=2)
-    p_explore.add_argument("--granules", type=int, default=8)
-    p_explore.add_argument("--depth", type=int, default=6)
-    p_explore.add_argument("--csm-max-size", type=int, default=2)
+    # explore() bounds the world by what its access oracle holds.
+    _add_int(p_explore, "--realms", 0, default=2)
+    _add_int(p_explore, "--granules", 0, default=8)
+    _add_int(p_explore, "--depth", 0, default=6)
+    _add_int(p_explore, "--csm-max-size", 1, MAX_CSM_SIZE, default=2)
     p_explore.add_argument("--mutant", action="append", default=[],
                            choices=DISABLEABLE_CHECKS,
                            help="disable a named monitor check (sensitivity runs)")
-    p_explore.add_argument("--state-cap", type=int, default=200_000)
+    _add_int(p_explore, "--state-cap", 1, default=200_000)
     p_explore.add_argument("--seed", type=int, default=0)
     p_explore.set_defaults(fn=_cmd_explore)
 
     p_bench = sub.add_parser("bench", help="inter-realm channel benchmark")
     p_bench.add_argument("--mode", action="append", choices=MODES, default=[],
                          help="repeatable; default: all three modes")
-    p_bench.add_argument("--size", type=int, required=True)
-    p_bench.add_argument("--iters", type=int, default=1000)
+    # Each message of a run is timed into lists of --iters entries, and the
+    # channel holds about five copies of a --size payload.
+    _add_int(p_bench, "--size", 0, MAX_BENCH_SIZE, required=True)
+    _add_int(p_bench, "--iters", 1, MAX_BENCH_ITERS, default=1000)
     p_bench.add_argument("--csv", help="append rows to this CSV file")
     p_bench.add_argument("--seed", type=int, default=0)
     p_bench.set_defaults(fn=_cmd_bench)
@@ -146,11 +163,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "bench" and not args.mode:
-        args.mode = list(MODES)
     try:
+        args = build_parser().parse_args(argv)
+        if args.command == "bench" and not args.mode:
+            args.mode = list(MODES)
         return args.fn(args)
     except ParseError as err:
         print(str(err), file=sys.stderr)

@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 
 from .csm import DISABLEABLE_CHECKS
 from .errors import ParseError
-from .granules import GRANULE_SIZE, MAX_GRANULES, GranuleState, SecurityState
+from .granules import GRANULE_SIZE, GranuleState, SecurityState
 from .harness import execute_step
 from .host import Host, HostPolicy
 from .invariants import _ACCESS_RULE, check_invariants
@@ -45,6 +45,16 @@ DEFAULT_COMMANDS = ("csm_create", "csm_share", "csm_reserve", "csm_attach",
 
 _WORLD_ACTORS = {"normal": SecurityState.NORMAL, "secure": SecurityState.SECURE,
                  "root": SecurityState.ROOT}
+
+# Explored realms have a 20-bit IPA space, so a region or window fits in its
+# protected half of 128 granules; a larger create is refused anyway.
+IPA_WIDTH = 20
+MAX_CSM_SIZE = (1 << (IPA_WIDTH - 1)) // GRANULE_SIZE
+# The reference oracle holds a cell per (actor, granule): three worlds and
+# each realm, over every granule of the world. A check builds it and the
+# operational matrix side by side, about 330 bytes a cell at the peak, so
+# this bound keeps an exploration's first check near 350 MiB.
+MAX_ORACLE_CELLS = 1 << 20
 
 
 @dataclass
@@ -93,7 +103,7 @@ def build_initial_world(cfg: ExplorationConfig) -> World:
     for r in range(cfg.realm_count):
         rd, apt, rec, rtt, data = range(5 * r, 5 * r + 5)
         world.granule_delegate(rd)
-        world.rmi_realm_create(rd, ipa_width=20)
+        world.rmi_realm_create(rd, ipa_width=IPA_WIDTH)
         world.granule_delegate(apt)
         world.rmi_apt_create(rd, apt)
         world.granule_delegate(rec)
@@ -402,8 +412,13 @@ def explore(cfg: ExplorationConfig) -> ExplorationReport:
     if not set(cfg.disabled_checks) <= set(DISABLEABLE_CHECKS):
         raise ParseError(f"disabled_checks must be among {DISABLEABLE_CHECKS}, "
                          f"not {cfg.disabled_checks!r}")
-    if cfg.realm_count * 4 + cfg.granule_count > MAX_GRANULES:
-        raise ParseError(f"a world holds at most {MAX_GRANULES} granules")
+    if not 1 <= cfg.csm_max_size <= MAX_CSM_SIZE:
+        raise ParseError(f"csm_max_size must be in [1, {MAX_CSM_SIZE}], "
+                         f"not {cfg.csm_max_size}")
+    cells = (3 + cfg.realm_count) * (cfg.realm_count * 4 + cfg.granule_count)
+    if cells > MAX_ORACLE_CELLS:
+        raise ParseError(f"the access oracle would hold {cells} cells, more "
+                         f"than {MAX_ORACLE_CELLS}: use fewer realms or granules")
     report = ExplorationReport()
     init = build_initial_world(cfg)
     # Entries are (world, path, whether its oracle check found nothing).

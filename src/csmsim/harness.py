@@ -13,6 +13,9 @@ Actors:
   ``realm:NAME``      the realm whose id was bound under NAME
   ``owner:NAME``      the external owner of that realm
 
+Ops: ``OPS`` declares each op once, for the parser and ``execute_step``;
+``ARGS`` says what a value of each argument name must be.
+
 Expectations: ``"ok"`` (any success), ``{"ok": pattern}`` (dict patterns
 match a subset of keys, lists match exactly, scalars compare equal),
 ``{"error": "Code"}``, ``"fault"``, or ``"pending"``.
@@ -25,7 +28,10 @@ event. Same scenario plus same seed yields a byte-identical trace.
 
 import json
 import reprlib
+from collections.abc import Callable
 from dataclasses import dataclass
+from types import FunctionType
+from typing import NamedTuple
 
 from . import attestation, csm
 from .csm import PENDING
@@ -75,113 +81,7 @@ def jsonable(value):
     return value
 
 
-# --------------------------------------------------------------------- ops
-
-_WORLD_STATES = {"host": SecurityState.NORMAL, "root": SecurityState.ROOT,
-                 "secure": SecurityState.SECURE}
-
-
-def _hex(args, key):
-    return bytes.fromhex(args.get(key) or "")
-
-
-def _op_physical_access(world, host, actor, caller, args):
-    state = _WORLD_STATES[actor.split(":")[0]]
-    return world.physical_access(state, args["granule"], args["kind"],
-                                 offset=args.get("offset", 0),
-                                 data=_hex(args, "data"),
-                                 length=args.get("length"))
-
-
-def _op_realm_access(world, host, actor, caller, args):
-    return world.realm_access(caller, args["ipa"], args["kind"],
-                              offset=args.get("offset", 0),
-                              data=_hex(args, "data"),
-                              length=args.get("length"))
-
-
-def _op_data_create(world, host, actor, caller, args):
-    return world.rmi_data_create(args["rd"], args["granule"], args["ipa"],
-                                 _hex(args, "content"))
-
-
-def _op_expectation(world, host, actor, caller, args):
-    image = [(ipa, bytes.fromhex(content)) for ipa, content in args.get("image", [])]
-    return attestation.expected_for_image(world, image, args["ipa_width"])
-
-
-def _op_adversarial(world, host, actor, caller, args):
-    return host.adversarial_step(world, **args)
-
-
-def _op_compose_sid(world, host, actor, caller, args):
-    return csm.compose_sharing_id(args["p"], args["c"], args["counter"])
-
-
-# Operation table: name -> (allowed actor kinds, required argument names,
-# handler). Handlers take (world, host, actor, caller_realm_id, resolved_args).
-OPS = {
-    # Host-issued granule and realm management commands.
-    "granule_delegate": ({"host"}, {"granule"}, lambda w, h, a, c, g: w.granule_delegate(g["granule"])),
-    "granule_undelegate": ({"host"}, {"granule"}, lambda w, h, a, c, g: w.granule_undelegate(g["granule"])),
-    "rmi_realm_create": ({"host"}, {"rd"}, lambda w, h, a, c, g: w.rmi_realm_create(g["rd"], g.get("ipa_width", 20))),
-    "rmi_rec_create": ({"host"}, {"rd", "granule"}, lambda w, h, a, c, g: w.rmi_rec_create(g["rd"], g["granule"])),
-    "rmi_apt_create": ({"host"}, {"rd", "granule"}, lambda w, h, a, c, g: w.rmi_apt_create(g["rd"], g["granule"])),
-    "rmi_apt_destroy": ({"host"}, {"rd", "granule"}, lambda w, h, a, c, g: w.rmi_apt_destroy(g["rd"], g["granule"])),
-    "rmi_rtt_create": ({"host"}, {"rd", "granule", "ipa"}, lambda w, h, a, c, g: w.rmi_rtt_create(g["rd"], g["granule"], g["ipa"])),
-    "rmi_rtt_read_entry": ({"host"}, {"rd", "ipa"}, lambda w, h, a, c, g: w.rmi_rtt_read_entry(g["rd"], g["ipa"])),
-    "rmi_data_create": ({"host"}, {"rd", "granule", "ipa"}, _op_data_create),
-    "rmi_data_create_unknown": ({"host"}, {"rd", "granule", "ipa"}, lambda w, h, a, c, g: w.rmi_data_create_unknown(g["rd"], g["granule"], g["ipa"])),
-    "rmi_data_destroy": ({"host"}, {"rd", "ipa"}, lambda w, h, a, c, g: w.rmi_data_destroy(g["rd"], g["ipa"])),
-    "rmi_unprotected_map": ({"host"}, {"rd", "ipa", "granule"}, lambda w, h, a, c, g: w.rmi_unprotected_map(g["rd"], g["ipa"], g["granule"])),
-    "rmi_realm_activate": ({"host"}, {"rd"}, lambda w, h, a, c, g: w.rmi_realm_activate(g["rd"])),
-    "rmi_realm_destroy": ({"host"}, {"rd"}, lambda w, h, a, c, g: w.rmi_realm_destroy(g["rd"])),
-    "rec_enter": ({"host"}, {"rd"}, lambda w, h, a, c, g: w.rec_enter(g["rd"])),
-    "registry_lookup": ({"host"}, {"id"}, lambda w, h, a, c, g: w.realm_by_id(g["id"]).realm_id),
-    "adversarial_step": ({"host"}, set(), _op_adversarial),
-    "world_stats": ({"host"}, set(), lambda w, h, a, c, g: w.stats()),
-    # Raw physical probes from any world.
-    "physical_access": ({"host", "root", "secure"}, {"granule", "kind"}, _op_physical_access),
-    # Realm-issued service commands.
-    "rsi_csm_create": ({"realm"}, {"base", "size"}, lambda w, h, a, c, g: csm.rsi_csm_create(w, c, g["base"], g["size"])),
-    "rsi_csm_share": ({"realm"}, {"csm", "c_id", "perm"}, lambda w, h, a, c, g: csm.rsi_csm_share(w, c, g["csm"], g["c_id"], g["perm"])),
-    "rsi_csm_reserve": ({"realm"}, {"sharing", "base", "size"}, lambda w, h, a, c, g: csm.rsi_csm_reserve(w, c, g["sharing"], g["base"], g["size"])),
-    "rsi_csm_attach": ({"realm"}, {"sharing"}, lambda w, h, a, c, g: csm.rsi_csm_attach(w, c, g["sharing"])),
-    "rsi_csm_revoke": ({"realm"}, {"sharing"}, lambda w, h, a, c, g: csm.rsi_csm_revoke(w, c, g["sharing"])),
-    "rsi_csm_destroy": ({"realm"}, {"csm"}, lambda w, h, a, c, g: csm.rsi_csm_destroy(w, c, g["csm"])),
-    "rsi_csm_detach_and_free": ({"realm"}, {"sharing"}, lambda w, h, a, c, g: csm.rsi_csm_detach_and_free(w, c, g["sharing"])),
-    "rsi_attestation_token": ({"realm"}, set(), lambda w, h, a, c, g: attestation.rsi_attestation_token(w, c)),
-    "realm_access": ({"realm"}, {"ipa", "kind"}, _op_realm_access),
-    "compose_sharing_id": ({"realm", "owner"}, {"p", "c", "counter"}, _op_compose_sid),
-    # Owner-side verification workflow.
-    "owner_compute_expectation": ({"owner"}, {"ipa_width"}, _op_expectation),
-    "verify_token": ({"owner"}, {"token", "expectation"}, lambda w, h, a, c, g: attestation.verify_token(g["token"], g["expectation"])),
-    "owner_release_peer_id": ({"owner"}, {"token", "expectation"}, lambda w, h, a, c, g: attestation.owner_release_peer_id(w, c, g["token"], g["expectation"])),
-}
-# The names an op takes besides its required arguments; no other is allowed.
-_ACCESS_ARGS = {"offset", "data", "length"}
-_OPTIONAL_ARGS = {
-    "rmi_realm_create": {"ipa_width"}, "rmi_data_create": {"content"},
-    "physical_access": _ACCESS_ARGS, "realm_access": _ACCESS_ARGS,
-    "owner_compute_expectation": {"image"},
-    "adversarial_step": {n for _, names in PROBES.values() for n in names},
-}
-
-
-# ------------------------------------------------------------------ loading
-
-_POLICIES = {p.value for p in HostPolicy}
-
-# The types of literal argument values, by name, for every op. A "@name"
-# reference may stand for any of them; its value is bound at run time.
-_INT_ARGS = {"granule", "rd", "ipa", "base", "size", "csm", "c_id", "id", "p",
-             "c", "counter", "offset", "length", "ipa_width"}
-_HEX_ARGS = {"data", "content"}
-# Objects with no literal form, by the types a bound value may have; a token
-# may also be the bytes of one, as read back from memory.
-_REF_ARGS = {"token": (attestation.AttestationToken, bytes, bytearray),
-             "expectation": (attestation.OwnerExpectation,)}
-
+# --------------------------------------------------------------- arguments
 
 def _is_ref(value) -> bool:
     return isinstance(value, str) and value.startswith("@")
@@ -199,37 +99,142 @@ def _is_hex(value) -> bool:
     return True
 
 
-def _arg_type_error(name: str, value, bound: bool = False) -> str | None:
-    """What an argument value should have been, or None if it fits. A
-    literal may be a reference; the value it is bound to is checked at run
-    time, with ``bound`` set."""
-    if _is_ref(value) and not bound:
-        return None
-    if name in _INT_ARGS and not _is_int(value):
-        return "an integer"
-    if name in _HEX_ARGS and not _is_hex(value):
-        return "a hex string"
-    if name == "kind" and value not in ACCESS_KINDS:
-        return '"read" or "write"'
-    if name in _REF_ARGS and not (bound and isinstance(value, _REF_ARGS[name])):
-        return f"a reference to an {_REF_ARGS[name][0].__name__}"
-    if name == "sharing" and not (
-            isinstance(value, (list, tuple)) and len(value) == 3 and
-            all(_is_int(v) or (_is_ref(v) and not bound) for v in value)):
-        return "a list of 3 integers"
-    if name == "image" and not (isinstance(value, list) and all(
-            isinstance(e, list) and len(e) == 2 and _is_int(e[0]) and
-            _is_hex(e[1]) for e in value)):
-        return "a list of [ipa, hex content] pairs"
-    return None
+class Arg(NamedTuple):
+    """What a value must be (``want``), its test ``check(value, bound)``, and
+    the ``decode`` into what the handler takes, where the two differ."""
+    want: str
+    check: Callable
+    decode: Callable | None = None
 
 
-def _check_arg_types(op: str, args: dict, where: str) -> None:
-    for name, value in args.items():
-        want = _arg_type_error(name, value)
-        if want is not None:
+# Each argument name means one thing in every op. A "@name" reference may
+# stand for any value; it is checked once bound, with ``bound`` set. Tokens
+# and expectations have no literal form; a token may be its bytes too.
+ARGS = {
+    **dict.fromkeys(("granule", "rd", "ipa", "base", "size", "csm", "c_id", "id", "p", "c",
+                     "counter", "offset", "length", "ipa_width"),
+                    Arg("an integer", lambda v, bound: _is_int(v))),
+    **dict.fromkeys(("data", "content"),
+                    Arg("a hex string", lambda v, bound: _is_hex(v), bytes.fromhex)),
+    "kind": Arg('"read" or "write"', lambda v, bound: v in ACCESS_KINDS),
+    "sharing": Arg("a list of 3 integers", lambda v, bound: isinstance(v, (list, tuple)) and
+                   len(v) == 3 and all(_is_int(e) or (_is_ref(e) and not bound) for e in v)),
+    "image": Arg("a list of [ipa, hex content] pairs", lambda v, bound: isinstance(v, list) and
+                 all(isinstance(e, list) and len(e) == 2 and _is_int(e[0]) and _is_hex(e[1])
+                     for e in v), lambda image: [(ipa, bytes.fromhex(c)) for ipa, c in image]),
+    "token": Arg("a reference to an AttestationToken", lambda v, bound: bound and
+                 isinstance(v, (attestation.AttestationToken, bytes, bytearray))),
+    "expectation": Arg("a reference to an OwnerExpectation", lambda v, bound:
+                       bound and isinstance(v, attestation.OwnerExpectation)),
+    # An unknown permission is the monitor's to refuse (BadState).
+    "perm": Arg("a permission", lambda v, bound: True),
+}
+
+
+# --------------------------------------------------------------------- ops
+
+class Op(NamedTuple):
+    """One command: the actor kinds that may issue it, and its handler,
+    which takes the ``required`` arguments in order, then the ``optional``
+    ones, each with its default when absent. ``World`` stands for the
+    world's method of the op's name, a module for its function of that name
+    called with the world; a realm or owner passes its realm id next, as the
+    caller. Any other handler is a function ``(world, host, actor, caller,
+    *args)``."""
+    actors: set
+    handler: object
+    required: tuple = ()
+    optional: dict = {}
+
+
+_WORLD_STATES = {"host": SecurityState.NORMAL, "root": SecurityState.ROOT,
+                 "secure": SecurityState.SECURE}
+_PROBE_ARGS = tuple(dict.fromkeys(n for _, names in PROBES.values() for n in names))
+
+OPS = {
+    # Host-issued granule and realm management commands.
+    "granule_delegate": Op({"host"}, World, ("granule",)),
+    "granule_undelegate": Op({"host"}, World, ("granule",)),
+    "rmi_realm_create": Op({"host"}, World, ("rd",), {"ipa_width": 20}),
+    "rmi_rec_create": Op({"host"}, World, ("rd", "granule")),
+    "rmi_apt_create": Op({"host"}, World, ("rd", "granule")),
+    "rmi_apt_destroy": Op({"host"}, World, ("rd", "granule")),
+    "rmi_rtt_create": Op({"host"}, World, ("rd", "granule", "ipa")),
+    "rmi_rtt_read_entry": Op({"host"}, World, ("rd", "ipa")),
+    "rmi_data_create": Op({"host"}, World, ("rd", "granule", "ipa"), {"content": b""}),
+    "rmi_data_create_unknown": Op({"host"}, World, ("rd", "granule", "ipa")),
+    "rmi_data_destroy": Op({"host"}, World, ("rd", "ipa")),
+    "rmi_unprotected_map": Op({"host"}, World, ("rd", "ipa", "granule")),
+    "rmi_realm_activate": Op({"host"}, World, ("rd",)),
+    "rmi_realm_destroy": Op({"host"}, World, ("rd",)),
+    "rec_enter": Op({"host"}, World, ("rd",)),
+    "registry_lookup": Op({"host"}, lambda w, h, a, c, i: w.realm_by_id(i).realm_id, ("id",)),
+    # The probe of the host's policy, with the arguments it takes (host.PROBES).
+    "adversarial_step": Op({"host"}, lambda w, h, a, c, *v: h.adversarial_step(w, **dict(zip(_PROBE_ARGS, v))), (), dict.fromkeys(_PROBE_ARGS)),
+    "world_stats": Op({"host"}, lambda w, h, a, c: w.stats()),
+    # Raw physical probes from any world.
+    "physical_access": Op({"host", "root", "secure"}, lambda w, h, a, c, *v: w.physical_access(
+        _WORLD_STATES[a.partition(":")[0]], *v), ("granule", "kind"), {"offset": 0, "data": b"", "length": None}),
+    # Realm-issued service commands.
+    "rsi_csm_create": Op({"realm"}, csm, ("base", "size")),
+    "rsi_csm_share": Op({"realm"}, csm, ("csm", "c_id", "perm")),
+    "rsi_csm_reserve": Op({"realm"}, csm, ("sharing", "base", "size")),
+    "rsi_csm_attach": Op({"realm"}, csm, ("sharing",)),
+    "rsi_csm_revoke": Op({"realm"}, csm, ("sharing",)),
+    "rsi_csm_destroy": Op({"realm"}, csm, ("csm",)),
+    "rsi_csm_detach_and_free": Op({"realm"}, csm, ("sharing",)),
+    "rsi_attestation_token": Op({"realm"}, attestation),
+    "realm_access": Op({"realm"}, World, ("ipa", "kind"), {"offset": 0, "data": b"", "length": None}),
+    "compose_sharing_id": Op({"realm", "owner"}, lambda w, h, a, c, *v: csm.compose_sharing_id(*v), ("p", "c", "counter")),
+    # Owner-side verification workflow.
+    "owner_compute_expectation": Op({"owner"}, lambda w, h, a, c, width, image: attestation.expected_for_image(w, image, width), ("ipa_width",), {"image": ()}),
+    "verify_token": Op({"owner"}, lambda w, h, a, c, *v: attestation.verify_token(*v), ("token", "expectation")),
+    "owner_release_peer_id": Op({"owner"}, attestation, ("token", "expectation")),
+}
+
+
+def _compile(name: str, op: Op):
+    """The op's caller ``(world, host, actor, caller, args)``, built once as
+    source, the way ``dataclasses`` builds ``__init__``: a call costs the one
+    Python frame a hand-written lambda would, and looks the handler up when
+    it runs, so a function replaced on its module or class is the one run."""
+    env = {"H": op.handler}
+    if isinstance(op.handler, FunctionType):
+        head, params = "H", ["w", "h", "a", "c"]
+    else:
+        head, params = (f"w.{name}", []) if op.handler is World else (f"H.{name}", ["w"])
+        if op.actors <= {"realm", "owner"}:
+            params.append("c")
+    for arg in (*op.required, *op.optional):
+        value, decode = f"g[{arg!r}]", ARGS[arg].decode
+        if decode is not None:
+            env[f"decode_{arg}"] = decode
+            value = f"decode_{arg}({value})"
+        if arg in op.optional:
+            env[f"default_{arg}"] = op.optional[arg]
+            value = f"({value} if {arg!r} in g else default_{arg})"
+        params.append(value)
+    return eval(f"lambda w, h, a, c, g: {head}({', '.join(params)})", env)
+
+
+_CALLS = {name: _compile(name, op) for name, op in OPS.items()}
+
+
+# ------------------------------------------------------------------ loading
+
+_POLICIES = {p.value for p in HostPolicy}
+
+
+def _check_arg(where: str, op: str, name: str, value, env: dict | None = None) -> None:
+    """Refuse an argument value that does not fit its name: a literal when
+    parsed, or, given ``env``, the value its references are bound to."""
+    bound = env is not None
+    if _collect_refs(value) if bound else not _is_ref(value):
+        got = _resolve(value, env) if bound else value
+        if not ARGS[name].check(got, bound):
+            shown = f"but {value!r} is bound to {reprlib.repr(got)}" if bound else f"not {value!r}"
             raise ParseError(f"{where}: op {op!r} argument {name!r} must be "
-                             f"{want}, not {value!r}")
+                             f"{ARGS[name].want}, {shown}")
 
 
 def check_seed(seed) -> None:
@@ -270,24 +275,25 @@ def parse_scenario(obj: dict, name: str = "<inline>") -> Scenario:
         op = raw.get("op")
         if not isinstance(op, str) or op not in OPS:
             raise ParseError(f"{where}: unknown op {op!r}")
-        actors, required, _ = OPS[op]
-        if kind not in actors:
+        spec = OPS[op]
+        if kind not in spec.actors:
             raise ParseError(f"{where}: op {op!r} not callable by {kind!r}")
         args = raw.get("args", {})
         if not isinstance(args, dict):
             raise ParseError(f"{where}: args must be an object")
-        missing = sorted(required - args.keys())
+        missing = sorted(set(spec.required) - args.keys())
         if missing:
             raise ParseError(f"{where}: op {op!r} missing argument(s) "
                              f"{', '.join(missing)}")
-        unknown = args.keys() - required - _OPTIONAL_ARGS.get(op, set())
+        unknown = args.keys() - spec.required - spec.optional.keys()
         if unknown:
             raise ParseError(f"{where}: op {op!r} takes no argument(s) "
                              f"{', '.join(sorted(map(str, unknown)))}")
         for ref in _collect_refs(args):
             if ref not in bound:
                 raise ParseError(f"{where}: dangling reference @{ref}")
-        _check_arg_types(op, args, where)
+        for arg, value in args.items():
+            _check_arg(where, op, arg, value)
         expect = raw.get("expect", "ok")
         _check_expect(expect, where)
         bind = raw.get("bind")
@@ -386,7 +392,7 @@ def execute_step(world: World, host: Host, actor: str, op: str, args: dict,
         caller = env[alias] if alias in env else int(alias)
     resolved = _resolve(args, env)
     try:
-        value = OPS[op][2](world, host, actor, caller, resolved)
+        value = _CALLS[op](world, host, actor, caller, resolved)
     except SimError as err:
         events = world.take_events()
         return None, {"error": err.code, "detail": err.detail}, events
@@ -463,19 +469,13 @@ def _check_bound_types(step: ScenarioStep, env: dict, where: str) -> None:
         raise ParseError(f"{where}: actor {step.actor!r} must name a realm id, "
                          f"but {alias!r} is bound to {reprlib.repr(env[alias])}")
     for name, value in step.args.items():
-        if _collect_refs(value):
-            resolved = _resolve(value, env)
-            want = _arg_type_error(name, resolved, bound=True)
-            if want is not None:
-                raise ParseError(
-                    f"{where}: op {step.op!r} argument {name!r} must be {want}, "
-                    f"but {value!r} is bound to {reprlib.repr(resolved)}")
+        _check_arg(where, step.op, name, value, env)
 
 
 def _check_probe_args(scenario: Scenario, policy: HostPolicy) -> None:
     """Which probe arguments a step needs depends on the policy, which a run
     may override after parsing, so they are checked here, before the first
-    step runs. Their types were checked by name at parse time."""
+    step runs. Their types were checked against ``ARGS`` at parse time."""
     names = PROBES[policy][1] if policy in PROBES else ()
     for i, step in enumerate(scenario.steps):
         missing = [n for n in names if n not in step.args]

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from csmsim.cli import main
-from csmsim.harness import parse_scenario
+from csmsim.harness import ARGS, OPS, parse_scenario
 
 
 def test_builtin_list(capsys):
@@ -86,8 +86,19 @@ def test_explore_mutant_fails(capsys):
     ["bench", "--size", "8", "--iters", "0"],
     ["bench", "--size", "-1"],
     ["explore", "--depth", "1", "--granules", str(1 << 62)],
+    ["explore", "--depth", "-1"],
+    ["explore", "--depth", "1", "--csm-max-size", "0"],
+    ["explore", "--depth", "1", "--csm-max-size", "129"],
+    ["explore", "--depth", "1", "--csm-max-size", "100000000"],
+    ["explore", "--depth", "1", "--state-cap", "0"],
+    ["explore", "--depth", "1", "--granules", "1000000"],
+    ["bench", "--size", str(1 << 40)],
+    ["bench", "--size", "8", "--iters", str(10 ** 12)],
 ], ids=["negative_granules", "granules_below_realms", "negative_realms",
-        "negative_seed", "zero_iters", "negative_size", "huge_granules"])
+        "negative_seed", "zero_iters", "negative_size", "huge_granules",
+        "negative_depth", "zero_csm_max_size", "csm_max_size_above_half",
+        "huge_csm_max_size", "zero_state_cap", "oracle_too_large",
+        "huge_size", "huge_iters"])
 def test_bad_numeric_option_is_usage_error(argv, capsys):
     assert main(argv) == 2
     err = capsys.readouterr().err
@@ -230,6 +241,64 @@ def test_run_wrong_argument_type_is_usage_error(doc, tmp_path, capsys):
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert len(err.splitlines()) == 1 and err.startswith("ParseError: ")
+
+
+# Generated from the op table: every argument an op declares, but for
+# ``perm``, which the monitor checks. A wrong literal is refused when the
+# file is parsed, and a reference bound to a wrong value before its step
+# runs, each with one line that names the argument.
+WRONG_LITERALS = {"an integer": True, "a hex string": "zz",
+                  '"read" or "write"': "Write", "a list of 3 integers": [1, 2],
+                  "a list of [ipa, hex content] pairs": "x",
+                  "a reference to an AttestationToken": 5,
+                  "a reference to an OwnerExpectation": 5}
+VALID_LITERALS = {"an integer": 0, "a hex string": "00",
+                  '"read" or "write"': "read", "a list of 3 integers": [0, 0, 0],
+                  "a list of [ipa, hex content] pairs": [], "a permission": "ro",
+                  "a reference to an AttestationToken": "@R",
+                  "a reference to an OwnerExpectation": "@R"}
+TYPED_ARGS = [(op, name) for op, spec in sorted(OPS.items())
+              for name in (*spec.required, *spec.optional) if name != "perm"]
+
+
+def _typed_step(op: str, name: str, value) -> dict:
+    """A step of ``op`` whose argument ``name`` is ``value``, listed first,
+    and whose other required arguments are valid literals."""
+    args = {name: value}
+    for other in OPS[op].required:
+        args.setdefault(other, VALID_LITERALS[ARGS[other].want])
+    kind = sorted(OPS[op].actors)[0]
+    actor = f"{kind}:R" if kind in ("realm", "owner") else kind
+    return {"actor": actor, "op": op, "args": args}
+
+
+def _run_refused(steps, tmp_path, capsys) -> str:
+    path = tmp_path / "typed.json"
+    path.write_text(json.dumps({"schema": 1, "steps": [
+        {"op": "granule_delegate", "args": {"granule": 0}, "bind": "N"},
+        {"op": "rmi_realm_create", "args": {"rd": 0}, "bind": "R"}, *steps]}))
+    assert main(["run", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and len(err.splitlines()) == 1
+    return err
+
+
+@pytest.mark.parametrize("op,name", TYPED_ARGS, ids=[f"{o}-{n}" for o, n in TYPED_ARGS])
+def test_wrong_literal_argument_is_usage_error(op, name, tmp_path, capsys):
+    step = _typed_step(op, name, WRONG_LITERALS[ARGS[name].want])
+    err = _run_refused([step], tmp_path, capsys)
+    assert err.startswith(f"ParseError: step 2: op {op!r} argument {name!r} "
+                          f"must be {ARGS[name].want}")
+
+
+@pytest.mark.parametrize("op,name", TYPED_ARGS, ids=[f"{o}-{n}" for o, n in TYPED_ARGS])
+def test_wrong_bound_argument_is_usage_error(op, name, tmp_path, capsys):
+    # A realm id where anything but an integer belongs, and None (the
+    # result of a delegation) where an integer does.
+    ref = "@N" if ARGS[name].want == "an integer" else "@R"
+    err = _run_refused([_typed_step(op, name, ref)], tmp_path, capsys)
+    assert err.startswith(f"ParseError: step 2: op {op!r} argument {name!r} "
+                          f"must be {ARGS[name].want}, but {ref!r} is bound to")
 
 
 def test_seed_override_out_of_range_is_usage_error(capsys):

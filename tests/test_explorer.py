@@ -66,6 +66,34 @@ def test_a_misspelt_mutant_is_refused():
                                   disabled_checks=("attach_size_eqality",)))
 
 
+@pytest.mark.parametrize("fields,match", [
+    ({"csm_max_size": 0}, "csm_max_size"),
+    ({"csm_max_size": explorer.MAX_CSM_SIZE + 1}, "csm_max_size"),
+    ({"granule_count": 1_000_000}, "access oracle"),
+    ({"realm_count": 1000, "granule_count": 1000}, "access oracle"),
+], ids=["zero_csm_max_size", "csm_max_size_above_half", "many_granules",
+        "many_realms"])
+def test_a_config_past_its_bounds_is_refused(fields, match):
+    """Refused before the first world is built: a create of more than the
+    protected half can never succeed, and the reference oracle's matrix
+    grows with realms times granules."""
+    with pytest.raises(ParseError, match=match):
+        explore(ExplorationConfig(depth=1, **fields))
+
+
+def test_the_largest_create_fits_the_protected_half():
+    world = explorer.build_initial_world(ExplorationConfig(
+        realm_count=1, granule_count=explorer.MAX_CSM_SIZE + 8))
+    coop = Host(HostPolicy.COOPERATIVE)
+    size = explorer.MAX_CSM_SIZE
+    _, result, _ = execute_step(world, coop, "realm:1", "rsi_csm_create",
+                                {"base": 0, "size": size})
+    assert not isinstance(result, dict), result
+    _, result, _ = execute_step(world, coop, "realm:1", "rsi_csm_create",
+                                {"base": 0, "size": size + 1})
+    assert result["error"] == "BadState"
+
+
 def test_low_level_host_commands_clean():
     report = explore(ExplorationConfig(
         realm_count=2, granule_count=6, depth=3,

@@ -3,11 +3,13 @@ import json
 
 import pytest
 
+from csmsim import attestation, csm
 from csmsim.errors import ParseError
 from csmsim.harness import (
     OPS,
     RunConfig,
     builtin_scenarios,
+    execute_step,
     load_scenario,
     parse_scenario,
     run_scenario,
@@ -67,15 +69,31 @@ def test_parse_rejects_actor_op_mismatch():
         parse_scenario(bad)
 
 
+# A value of the right type for each argument name that is not an integer.
+# Tokens and expectations are None: the handlers fail on it, but not for
+# want of an argument.
+ZEROS = {"data": "", "content": "", "kind": "read", "sharing": [0, 0, 0],
+         "image": [], "perm": "ro", "token": None, "expectation": None}
+
+
+def _run_with_zeros(op: str):
+    """Run ``op`` through ``execute_step`` with only its required arguments,
+    each a zero of its type, as the first actor kind that may issue it."""
+    kind = sorted(OPS[op].actors)[0]
+    actor = f"{kind}:0" if kind in ("realm", "owner") else kind
+    args = {n: ZEROS.get(n, 0) for n in OPS[op].required}
+    return execute_step(World(granule_count=4), Host(), actor, op, args)
+
+
 def test_required_arguments_cover_every_handler():
     """Given only its required arguments, a handler may fail, but never for
-    want of an argument, so the parser's missing-argument check is complete."""
-    for op, (_, required, handler) in OPS.items():
+    want of an argument or by taking a different number of them, so the
+    declared names, their order and the defaults match the handler."""
+    for op in OPS:
         try:
-            handler(World(granule_count=4), Host(), "host", None,
-                    dict.fromkeys(required, 0))
-        except KeyError as err:
-            pytest.fail(f"{op} reads argument {err} outside its required set")
+            _run_with_zeros(op)
+        except (KeyError, TypeError) as err:
+            pytest.fail(f"{op}: {type(err).__name__}: {err}")
         except Exception:  # any other failure is fine here
             pass
     for policy, (_, names) in PROBES.items():
@@ -87,6 +105,37 @@ def test_required_arguments_cover_every_handler():
                         f"its table entry")
         except Exception:
             pass
+
+
+# The function each op runs, where it is not the op's own name on its
+# handler (World, csm or attestation).
+CALLEES = {"physical_access": (World, "physical_access"),
+           "registry_lookup": (World, "realm_by_id"),
+           "world_stats": (World, "stats"),
+           "adversarial_step": (Host, "adversarial_step"),
+           "compose_sharing_id": (csm, "compose_sharing_id"),
+           "verify_token": (attestation, "verify_token"),
+           "owner_compute_expectation": (attestation, "expected_for_image")}
+
+
+@pytest.mark.parametrize("op", sorted(OPS))
+def test_dispatch_finds_a_replaced_handler(op, monkeypatch):
+    """The benchmark counts calls by replacing module and class attributes,
+    so the dispatch must look each handler up when it runs, not keep the
+    function it found at import."""
+    owner, name = CALLEES.get(op, (OPS[op].handler, op))
+    original, calls = getattr(owner, name), []
+
+    def recording(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, recording)
+    try:
+        _run_with_zeros(op)
+    except Exception:  # the wrapper has run by then, if it is reached
+        pass
+    assert calls, f"{op} did not call the replaced {name}"
 
 
 def test_parse_rejects_malformed_expect():
